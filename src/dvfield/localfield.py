@@ -39,17 +39,9 @@ class FieldDescriptor:
             raise ValueError("rho1_exponent must be positive")
 
     @property
-    def uniformizer_symbol(self) -> str:
-        return "p" if self.kind is FieldKind.PADIC else "T"
-
-    @property
     def base_token(self) -> str:
         """Token used by the textual element format: the prime numeral, or T."""
         return str(self.q) if self.kind is FieldKind.PADIC else "T"
-
-    @property
-    def residue_size(self) -> int:
-        return self.q
 
 
 def Qp(p: int, rho1_exponent: int = 1) -> FieldDescriptor:
@@ -118,7 +110,7 @@ class FieldElement:
             raise DivisionByIndistinguishableZero(
                 "denominator is zero in the residue field")
         c = numerator * pow(denominator, -1, q) % q
-        if c == 0:
+        if c == 0 or prec <= 0:
             return cls.zero_to_precision(descriptor, prec)
         return cls(descriptor, 0, (c,) + (0,) * (prec - 1), prec)
 
@@ -351,10 +343,6 @@ class FieldElement:
         body = " + ".join(
             f"{d}*{sym}^{self.valuation + i}" for i, d in enumerate(self.digits) if d)
         return f"{body} + O({sym}^{self.abs_precision})"
-
-
-def residue_size(descriptor: FieldDescriptor) -> int:
-    return descriptor.residue_size
 
 
 def invert_one_minus(x: FieldElement, prec: int) -> FieldElement:

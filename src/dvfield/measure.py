@@ -277,7 +277,8 @@ def _certify_similarity(f: TruncatedSeries, ball: BallSpec
     c = _lift_center(ball, max(f.working_precision, j + 1))
     enclosing = min(c.valuation_lower_bound, j)
     f.require_radius(enclosing)
-    fp = f.derivative().eval(c, c.abs_precision)
+    # truncate raises PrecisionExhausted when eval falls short
+    fp = f.derivative().eval(c, c.abs_precision).truncate(c.abs_precision)
     if fp.is_zero_to_precision:
         return None
     e_fp = fp.valuation
@@ -289,7 +290,7 @@ def _certify_similarity(f: TruncatedSeries, ball: BallSpec
     if t < image_j:
         raise InsufficientPrecision(
             f"image radius exponent {image_j} exceeds working precision {t}")
-    image_center = f.eval(c, t)
+    image_center = f.eval(c, t).truncate(t)
     return BallSpec.make(image_center, image_j), e_fp
 
 

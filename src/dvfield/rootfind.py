@@ -1,15 +1,16 @@
 """Certified solving of f(x) = z on closed balls.
 
-Two interchangeable solvers (Newton update with the local derivative,
-and the fixed-point map with the frozen derivative), hypothesis checks
-in exact magnitude arithmetic, Strassmann zero bounds, and a desk-scale
-exhaustive root enumerator used to verify both.
+One solve loop, x <- x + a^(-1) (z - f(x)), with two update rules:
+Newton (Hensel) refreshes a = f'(x) at every step, the fixed-point map
+freezes a = f'(x0).  Around it: hypothesis checks in exact magnitude
+arithmetic, Strassmann zero bounds, and a desk-scale exhaustive root
+enumerator used to verify both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .errors import (
     AllCoefficientsIndistinguishableFromZero,
@@ -21,9 +22,9 @@ from .errors import (
     TailInconclusive,
     UndecidedMultipleRoot,
 )
-from .localfield import FieldDescriptor, FieldElement
+from .localfield import FieldElement
 from .series import TruncatedSeries
-from .valuation import INFINITY, Magnitude, is_infinite
+from .valuation import Magnitude, Valuation, is_infinite
 
 
 @dataclass(frozen=True)
@@ -61,160 +62,134 @@ class StrassmannReport:
     attaining_index: int
 
 
-def _problem_state(problem: HenselProblem):
+@dataclass(frozen=True)
+class _ProblemState:
+    fprime: TruncatedSeries
+    fp0: FieldElement        # f'(x0)
+    d0: FieldElement         # z - f(x0)
+    prec: int
+    e_m2: Valuation
+
+
+def _problem_state(problem: HenselProblem) -> _ProblemState:
     f, x0, z = problem.f, problem.x0, problem.z
     if x0.valuation_lower_bound < problem.m:
         raise DomainError("x0 lies outside the domain ball")
     prec = min(f.working_precision, x0.abs_precision, z.abs_precision)
-    fp = _eval_best(f.derivative(), x0, prec, 1)
+    fprime = f.derivative()
+    fp = _eval_at_least(fprime, x0, prec, 1)
     if fp.is_zero_to_precision:
         raise DerivativeIndistinguishableFromZero(
             "f'(x0) indistinguishable from zero at working precision")
-    fx = _eval_best(f, x0, prec, 1)
+    fx = _eval_at_least(f, x0, prec, 1)
     d = z.truncate(min(z.abs_precision, fx.abs_precision)) - fx
-    return fp, d, prec
+    return _ProblemState(fprime, fp, d, prec, f.sup_exponent(problem.m, 2))
 
 
-def _eval_best(f: TruncatedSeries, x: FieldElement, prec: int,
-               floor: int) -> FieldElement:
-    """f(x) at the best certifiable precision in [floor, prec]."""
+def _eval_at_least(f: TruncatedSeries, x: FieldElement, prec: int,
+                   floor: int) -> FieldElement:
+    """f(x) at the precision eval certifies, capped at prec and at x's
+    own precision; PrecisionExhausted when that is below floor."""
     t = min(prec, x.abs_precision)
     if t < floor:
         raise PrecisionExhausted(
             f"iterate precision {t} dropped below target {floor}")
-    try:
-        return f.eval(x, t)
-    except PrecisionExhausted:
-        pass
-    lo, hi, best = floor, t - 1, None
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        try:
-            best = f.eval(x, mid)
-            lo = mid + 1
-        except PrecisionExhausted:
-            hi = mid - 1
-    if best is None:
+    fx = f.eval(x, t)
+    if fx.abs_precision < floor:
         raise PrecisionExhausted(
             f"cannot certify the value even modulo q^{floor}")
-    return best
+    return fx
 
 
-def _residual(f: TruncatedSeries, z: FieldElement, x: FieldElement,
-              prec: int, target: int) -> FieldElement:
-    """z - f(x) at the best certifiable precision >= target."""
-    fx = _eval_best(f, x, min(prec, z.abs_precision), target)
-    return z.truncate(min(z.abs_precision, fx.abs_precision)) - fx
+def _require_target(problem: HenselProblem, state: _ProblemState) -> None:
+    if problem.target_prec > state.prec:
+        raise PrecisionExhausted(
+            f"target precision {problem.target_prec} exceeds working "
+            f"precision {state.prec}")
 
 
-def check_hypotheses(problem: HenselProblem) -> HypothesisReport:
-    fp, d, _ = _problem_state(problem)
-    e_fp = fp.valuation
-    e_d = d.valuation_lower_bound
+def _hypotheses(problem: HenselProblem, state: _ProblemState) -> HypothesisReport:
+    e_fp = state.fp0.valuation
+    e_d = state.d0.valuation_lower_bound
     m = problem.m
-    e_m2 = problem.f.sup_exponent(m, 2)
     # M1' = max_{j>=1} |a_j| q^(-m(j-2)), one radius factor looser than M1
     e_m1p = problem.f.sup_exponent(m, 1) - m
     return HypothesisReport(
         h_close=e_d >= e_fp + m,
-        h_quadratic=e_m2 + e_d > 2 * e_fp,
+        h_quadratic=state.e_m2 + e_d > 2 * e_fp,
         h_single=e_m1p + e_d > 2 * e_fp,
+    )
+
+
+def check_hypotheses(problem: HenselProblem) -> HypothesisReport:
+    return _hypotheses(problem, _problem_state(problem))
+
+
+def _solve(problem: HenselProblem, state: _ProblemState,
+           step: Callable[[FieldElement], FieldElement]) -> RootCertificate:
+    """Iterate x <- x + step(x) * (z - f(x)) from x0 until the residual
+    vanishes modulo q^target_prec, then certify |f'(root)| = |f'(x0)|."""
+    f, z, target = problem.f, problem.z, problem.target_prec
+    q = f.descriptor.q
+    e_fp = state.fp0.valuation
+    x = problem.x0
+    trace: List[Magnitude] = []
+    while True:
+        fx = _eval_at_least(f, x, state.prec, target)
+        r = z.truncate(min(z.abs_precision, fx.abs_precision)) - fx
+        if r.valuation_lower_bound >= target:
+            break
+        trace.append(Magnitude(q, state.e_m2 + r.valuation - 2 * e_fp))
+        x = x + step(x) * r
+        if len(trace) > 4 * target + 8:
+            raise PrecisionExhausted("iteration failed to converge")
+
+    fpr = _eval_at_least(state.fprime, x, state.prec, e_fp + 1)
+    if fpr.is_zero_to_precision or fpr.valuation != e_fp:
+        raise PrecisionExhausted("derivative magnitude not preserved at the root")
+    return RootCertificate(
+        root=x,
+        residual_prec=r.valuation_lower_bound,
+        uniqueness_exponent=state.d0.valuation_lower_bound - e_fp,
+        b_trace=tuple(trace),
+        derivative_magnitude=fpr.magnitude(),
     )
 
 
 def hensel_solve(problem: HenselProblem) -> RootCertificate:
     """Iterate x <- x + f'(x)^(-1) (z - f(x)) until the residual vanishes
     modulo q^target_prec; quadratic convergence certified by the b trace."""
-    report = check_hypotheses(problem)
+    state = _problem_state(problem)
+    report = _hypotheses(problem, state)
     if not report.sufficient:
         raise HypothesesFail(
             f"h_close={report.h_close} h_quadratic={report.h_quadratic} "
             f"h_single={report.h_single}")
-    fp0, d0, prec = _problem_state(problem)
-    target = problem.target_prec
-    if target > prec:
-        raise PrecisionExhausted(
-            f"target precision {target} exceeds working precision {prec}")
-    f, z = problem.f, problem.z
-    e_fp = fp0.valuation
-    e_m2 = f.sup_exponent(problem.m, 2)
-    uniq = d0.valuation_lower_bound - e_fp
+    _require_target(problem, state)
 
-    x = problem.x0
-    trace: List[Magnitude] = []
-    q = f.descriptor.q
-    fprime = f.derivative()
-    while True:
-        r = _residual(f, z, x, prec, target)
-        if r.valuation_lower_bound >= target:
-            residual_prec = r.valuation_lower_bound
-            break
-        trace.append(Magnitude(q, e_m2 + r.valuation - 2 * e_fp))
-        fpx = _eval_best(fprime, x, prec, 1)
+    def newton(x: FieldElement) -> FieldElement:
+        fpx = _eval_at_least(state.fprime, x, state.prec, 1)
         if fpx.is_zero_to_precision:
             raise DerivativeIndistinguishableFromZero(
                 "derivative lost during iteration")
-        x = x + fpx.inverse() * r
-        if len(trace) > 4 * target + 8:
-            raise PrecisionExhausted("iteration failed to converge")
+        return fpx.inverse()
 
-    fpr = _eval_best(f.derivative(), x, prec, e_fp + 1)
-    if fpr.is_zero_to_precision or fpr.valuation != e_fp:
-        raise PrecisionExhausted("derivative magnitude not preserved at the root")
-    return RootCertificate(
-        root=x,
-        residual_prec=residual_prec,
-        uniqueness_exponent=uniq,
-        b_trace=tuple(trace),
-        derivative_magnitude=fpr.magnitude(),
-    )
+    return _solve(problem, state, newton)
 
 
 def fixed_point_solve(problem: HenselProblem) -> RootCertificate:
     """Same contract as hensel_solve via the contraction h(x) = x +
     a^(-1) (z - f(x)) with a = f'(x0) frozen; requires t * M2 < |a|
     where t = |a|^(-1) |z - f(x0)|."""
-    fp0, d0, prec = _problem_state(problem)
-    target = problem.target_prec
-    if target > prec:
-        raise PrecisionExhausted(
-            f"target precision {target} exceeds working precision {prec}")
-    f, z = problem.f, problem.z
-    e_fp = fp0.valuation
-    e_m2 = f.sup_exponent(problem.m, 2)
-    e_d = d0.valuation_lower_bound
-    e_t = e_d - e_fp
-    if not (e_t + e_m2 > e_fp):
+    state = _problem_state(problem)
+    _require_target(problem, state)
+    e_fp = state.fp0.valuation
+    e_t = state.d0.valuation_lower_bound - e_fp
+    if not (e_t + state.e_m2 > e_fp):
         raise ContractionFails(
             "t * M2 >= |f'(x0)|: the auxiliary map is not a contraction")
-    uniq = e_d - e_fp
-
-    alpha_inv = fp0.inverse()
-    x = problem.x0
-    q = f.descriptor.q
-    trace: List[Magnitude] = []
-    steps = 0
-    while True:
-        r = _residual(f, z, x, prec, target)
-        if r.valuation_lower_bound >= target:
-            residual_prec = r.valuation_lower_bound
-            break
-        trace.append(Magnitude(q, e_m2 + r.valuation - 2 * e_fp))
-        x = x + alpha_inv * r
-        steps += 1
-        if steps > 4 * target + 8:
-            raise PrecisionExhausted("iteration failed to converge")
-
-    fpr = _eval_best(f.derivative(), x, prec, e_fp + 1)
-    if fpr.is_zero_to_precision or fpr.valuation != e_fp:
-        raise PrecisionExhausted("derivative magnitude not preserved at the root")
-    return RootCertificate(
-        root=x,
-        residual_prec=residual_prec,
-        uniqueness_exponent=uniq,
-        b_trace=tuple(trace),
-        derivative_magnitude=fpr.magnitude(),
-    )
+    alpha_inv = state.fp0.inverse()
+    return _solve(problem, state, lambda x: alpha_inv)
 
 
 def strassmann_bound(f: TruncatedSeries, m: int, from_index: int = 0) -> StrassmannReport:
@@ -249,18 +224,6 @@ def strassmann_bound(f: TruncatedSeries, m: int, from_index: int = 0) -> Strassm
         if tail_lb is None or not (is_infinite(tail_lb) or tail_lb > best):
             raise TailInconclusive("tail bound does not dominate strictly")
     return StrassmannReport(bound_N=attaining, attaining_index=attaining)
-
-
-def _residue_element(descriptor: FieldDescriptor, code: int, prec: int) -> FieldElement:
-    """The canonical representative with base-q digit expansion of code."""
-    q = descriptor.q
-    digits = []
-    n = code
-    while n:
-        n, d = divmod(n, q)
-        digits.append(d)
-    window = digits + [0] * (prec - len(digits))
-    return FieldElement._normalized(descriptor, 0, window[:prec], prec)
 
 
 def enumerate_roots(f: TruncatedSeries, m: int, scan_depth: int = 4,
@@ -298,13 +261,13 @@ def _scan_class(f: TruncatedSeries, m: int, center: FieldElement, level: int,
     """Depth-first scan of the class {x = center mod q^level, v(x) >= m}."""
     q = f.descriptor.q
     prec = min(f.working_precision, center.abs_precision)
-    w = _eval_best(f, center, prec, 1)
+    w = _eval_at_least(f, center, prec, 1)
     e_m1 = f.sup_exponent(m, 1)
     # any root x in the class has |f(center)| = |f(center) - f(x)| <=
     # M1 * q^(-level), so a smaller determined residual rules the class out
     if not w.is_zero_to_precision and w.valuation < e_m1 + (level - m):
         return
-    fp = _eval_best(f.derivative(), center, prec, 1)
+    fp = _eval_at_least(f.derivative(), center, prec, 1)
     e_m2 = f.sup_exponent(m, 2)
     if not fp.is_zero_to_precision:
         e_fp = fp.valuation

@@ -16,31 +16,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
-from .errors import DomainError, InsufficientPrecision, PrecisionExhausted
+from .errors import DomainError, InsufficientPrecision
 from .localfield import FieldDescriptor, FieldElement
 from .valuation import Magnitude, Valuation
 
 
 @dataclass(frozen=True)
 class TailProfile:
-    """Certified bound v(a_j) >= lower_bound(j) for all j >= start.
-
-    slope and intercept give a linear minorant: lower_bound(j) is itself
-    bounded below by slope*j + intercept on j >= start.  All infinite
-    maxima are evaluated through the minorant; the optional exact
-    lower_bound callable sharpens spot queries only.
-    """
+    """Certified bound v(a_j) >= slope*j + intercept for all j >= start."""
 
     start: int
     slope: Fraction
     intercept: Fraction
-    lower_bound: Optional[Callable[[int], int]] = None
-
-    def bound(self, j: int) -> int:
-        linear = math.ceil(self.slope * j + self.intercept)
-        if self.lower_bound is None:
-            return linear
-        return max(linear, self.lower_bound(j))
 
     def admits_radius(self, m: int) -> bool:
         return self.slope + m > 0
@@ -52,6 +39,12 @@ class TruncatedSeries:
     coeffs: Tuple[FieldElement, ...]
     tail: Optional[TailProfile] = None
     coeff_factory: Optional[Callable[[int], FieldElement]] = None
+
+    def __post_init__(self):
+        if self.tail is not None and self.tail.start > len(self.coeffs):
+            raise ValueError(
+                f"tail starts at index {self.tail.start} but only "
+                f"{len(self.coeffs)} coefficients are stored")
 
     # -- shape ---------------------------------------------------------
 
@@ -138,8 +131,10 @@ class TruncatedSeries:
     # -- calculus ---------------------------------------------------------
 
     def eval(self, x: FieldElement, target_prec: int) -> FieldElement:
-        """The sum at x modulo q^target_prec; every dropped term is
-        certified to have valuation >= target_prec."""
+        """The sum at x modulo q^min(target_prec, P), where P is the
+        precision the stored coefficients and x support; every dropped
+        term is certified to have valuation >= target_prec.  Callers that
+        need the full target check the result's abs_precision."""
         if x.descriptor != self.descriptor:
             raise ValueError("mismatched field descriptors")
         m = x.valuation_lower_bound
@@ -153,11 +148,7 @@ class TruncatedSeries:
         total = f.coeffs[cut - 1]
         for j in range(cut - 2, -1, -1):
             total = total * x + f.coeffs[j]
-        if total.abs_precision < target_prec:
-            raise PrecisionExhausted(
-                f"stored precision supports only q^{total.abs_precision}, "
-                f"target q^{target_prec}")
-        return total.truncate(target_prec)
+        return total.truncate(min(target_prec, total.abs_precision))
 
     def _cutoff(self, m: int, target_prec: int) -> int:
         if self.tail is None:
@@ -172,11 +163,8 @@ class TruncatedSeries:
         tail = None
         if self.tail is not None:
             old = self.tail
-            inner = None
-            if old.lower_bound is not None:
-                inner = lambda j, lb=old.lower_bound: lb(j + 1)
             tail = TailProfile(max(old.start - 1, 0), old.slope,
-                               old.intercept + old.slope, inner)
+                               old.intercept + old.slope)
         factory = None
         if self.coeff_factory is not None:
             factory = lambda j, fac=self.coeff_factory: fac(j + 1).mul_integer(j + 1)
@@ -259,7 +247,7 @@ class TruncatedSeries:
         if self.tail is not None:
             slope, intercept = self.global_minorant()
             tail = TailProfile(max(self.tail.start, len(coeffs)), slope,
-                               intercept, None)
+                               intercept)
         return TruncatedSeries(self.descriptor, tuple(coeffs), tail)
 
     def deflate(self, x0: FieldElement, m: int) -> "TruncatedSeries":
@@ -289,7 +277,7 @@ class TruncatedSeries:
         if self.tail is not None:
             slope, intercept = self.global_minorant()
             tail = TailProfile(max(self.tail.start - 1, n_out), slope,
-                               intercept + slope, None)
+                               intercept + slope)
         return TruncatedSeries(self.descriptor, tuple(coeffs), tail)
 
     # -- analytic criteria --------------------------------------------------
@@ -307,7 +295,8 @@ class TruncatedSeries:
         |f(x) - f(y)| = |f'(y)| |x - y| for v(x - y) >= separation."""
         if y.valuation_lower_bound < m:
             raise DomainError("y lies outside the ball")
-        fp = self.derivative().eval(y, y.abs_precision)
+        # truncate raises PrecisionExhausted when eval falls short
+        fp = self.derivative().eval(y, y.abs_precision).truncate(y.abs_precision)
         fp_mag = fp.magnitude()
         e_m2 = self.sup_exponent(m, 2)
         certified = e_m2 + separation_exponent > fp_mag.exponent

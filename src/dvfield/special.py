@@ -46,8 +46,7 @@ def exp_series(descriptor: FieldDescriptor, target_prec: int) -> TruncatedSeries
         return FieldElement.from_rational(_d, 1, math.factorial(j), _prec)
 
     coeffs = tuple(factory(j) for j in range(2))
-    tail = TailProfile(start=1, slope=slope, intercept=intercept,
-                       lower_bound=lambda j, _p=p: -factorial_valuation(_p, j))
+    tail = TailProfile(start=1, slope=slope, intercept=intercept)
     return TruncatedSeries(descriptor, coeffs, tail, factory)
 
 
@@ -57,7 +56,8 @@ def exp_eval(x: FieldElement, target_prec: int) -> FieldElement:
     if x.valuation_lower_bound < e_min(x.descriptor.q):
         raise DomainError(
             f"exponential diverges: need valuation >= {e_min(x.descriptor.q)}")
-    return exp_series(x.descriptor, target_prec).eval(x, target_prec)
+    y = exp_series(x.descriptor, target_prec).eval(x, target_prec)
+    return y.truncate(target_prec)  # raises PrecisionExhausted when eval falls short
 
 
 def exp_functional_check(x: FieldElement, y: FieldElement,

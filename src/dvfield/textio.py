@@ -15,6 +15,7 @@ continued by "tail:exp" (coefficients 1/j! beyond those given).
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -236,10 +237,7 @@ def parse_series(text: str, descriptor: FieldDescriptor,
                 template.working_precision))
         else:
             elems.append(template.coeff_factory(j))
-    from .series import TailProfile  # local import avoids a cycle at module load
-    tail = TailProfile(start=max(stored, 1), slope=template.tail.slope,
-                       intercept=template.tail.intercept,
-                       lower_bound=template.tail.lower_bound)
+    tail = dataclasses.replace(template.tail, start=stored)
     return TruncatedSeries(descriptor, tuple(elems), tail,
                            template.coeff_factory)
 

@@ -45,6 +45,11 @@ class TestFromRational:
         assert x.valuation == 0 and x.digits[0] == 4
         assert all(d == 0 for d in x.digits[1:])
 
+    def test_laurent_constant_without_precision_is_zero(self):
+        for prec in (0, -2):
+            x = el(L5, 3, 1, prec)
+            assert x == FieldElement.zero_to_precision(L5, prec)
+
     def test_laurent_rejects_residue_zero_denominator(self):
         with pytest.raises(DivisionByIndistinguishableZero):
             el(L5, 1, 5, 4)

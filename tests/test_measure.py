@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dvfield.errors import DomainError, InsufficientPrecision
+from dvfield.errors import (DomainError, InsufficientPrecision,
+                            PrecisionExhausted)
 from dvfield.localfield import FieldElement, Qp, laurent_field, FieldDescriptor, FieldKind
 from dvfield.measure import (BallRelation, BallSpec, ContentEstimate,
                              DimensionValue, admissible_ball, ball_relation,
@@ -259,6 +260,12 @@ class TestImage:
         # over Q2 the square map halves distances: t*M2 < |f'| fails
         f = polynomial(Q2, [0, 0, 1], 12)
         assert admissible_ball(f, ball(Q2, 1, 1, prec=12)) is None
+
+    def test_center_finer_than_the_series_precision(self):
+        # the center is lifted to precision 7, f' is known only modulo 5^4
+        f = polynomial(Q5, [0, 1, 1], 4)
+        with pytest.raises(PrecisionExhausted):
+            admissible_ball(f, ball(Q5, 1, 6))
 
     def test_subfamily_must_be_inside(self):
         f = polynomial(Q5, [0, 1], 12)

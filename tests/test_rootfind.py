@@ -1,18 +1,21 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from dvfield.errors import (AllCoefficientsIndistinguishableFromZero,
                             ContractionFails,
                             DerivativeIndistinguishableFromZero, DomainError,
-                            HypothesesFail, TailInconclusive,
-                            UndecidedMultipleRoot)
-from dvfield.localfield import FieldElement, Qp
+                            HypothesesFail, PrecisionExhausted,
+                            TailInconclusive, UndecidedMultipleRoot)
+from dvfield.localfield import FieldElement, Qp, laurent_field
 from dvfield.rootfind import (HenselProblem, check_hypotheses,
                               enumerate_roots, fixed_point_solve,
                               hensel_solve, strassmann_bound)
 from dvfield.series import TruncatedSeries, polynomial
 from dvfield.special import exp_series
+from dvfield.textio import parse_element
+from dvfield.valuation import INFINITY
 
 Q2 = Qp(2)
 Q3 = Qp(3)
@@ -207,3 +210,75 @@ class TestEnumerateRoots:
         for cert in enumerate_roots(f, 0, target_prec=8):
             assert cert.residual_prec >= 8
             assert not cert.derivative_magnitude.is_zero
+
+
+def pin(cert):
+    """Every field of a certificate as plain data."""
+    r = cert.root
+    return (r.valuation, r.digits, r.abs_precision, cert.residual_prec,
+            cert.uniqueness_exponent, tuple(b.exponent for b in cert.b_trace),
+            cert.derivative_magnitude.exponent)
+
+
+class TestGoldenCertificates:
+    """Certificates pinned field by field at target = working precision,
+    where every claimed digit is right (checked against f(root) = 0)."""
+
+    SQRT2_Q7 = (3, 1, 2, 6, 1, 2, 1, 2, 4, 6, 6, 2)
+    SQRT_1_PLUS_T = (1, 3, 3, 1, 0, 2, 1, 1, 2, 0, 1, 3)
+
+    def test_sqrt2_over_q7(self):
+        prob = sqrt_problem(Q7, 2, 3, prec=12, target=12)
+        assert pin(hensel_solve(prob)) == (
+            0, self.SQRT2_Q7, 12, 12, 1, (1, 2, 4, 8), 0)
+        assert pin(fixed_point_solve(prob)) == (
+            0, self.SQRT2_Q7, 12, 12, 1, tuple(range(1, 12)), 0)
+
+    def test_sqrt_one_plus_t_over_f5(self):
+        L5 = laurent_field(5)
+        minus_one_minus_t = parse_element("4 + 4*T + O(T^12)", L5, 12)
+        f = TruncatedSeries(L5, (minus_one_minus_t, zero(L5),
+                                 FieldElement.one(L5, 12)))
+        prob = HenselProblem(f, FieldElement.one(L5, 12), zero(L5), 0, 12)
+        assert pin(hensel_solve(prob)) == (
+            0, self.SQRT_1_PLUS_T, 12, 12, 1, (1, 2, 4, 8), 0)
+        assert pin(fixed_point_solve(prob)) == (
+            0, self.SQRT_1_PLUS_T, 12, 12, 1, tuple(range(1, 12)), 0)
+
+    def test_enumerate_cubic_over_q3(self):
+        f = polynomial(Q3, [0, -1, 0, 1], 10)
+        assert [pin(c) for c in enumerate_roots(f, 0)] == [
+            (0, (1,) + (0,) * 9, 10, 10, 10, (), 0),
+            (0, (2,) * 10, 10, 10, 10, (), 0),
+            (INFINITY, (), 10, 10, 10, (), 0),
+        ]
+
+
+class TestPrecisionRefusals:
+    def test_target_beyond_working_precision(self):
+        prob = sqrt_problem(Q7, 2, 3, prec=12, target=14)
+        for solve in (hensel_solve, fixed_point_solve):
+            with pytest.raises(PrecisionExhausted,
+                               match="target precision 14 exceeds working "
+                                     "precision 12"):
+                solve(prob)
+
+    def _two_thirds_problem(self, target):
+        # X^2 - 4/9 from x0 = 2/3 + 3: every value at v(x) = -1 is known
+        # only modulo 3^10 although the data are known modulo 3^12
+        f = polynomial(Q3, [Fraction(-4, 9), 0, 1], 12)
+        return HenselProblem(f, el(Q3, 11, 3), zero(Q3), -1, target)
+
+    def test_negative_valuation_start_uses_the_certified_precision(self):
+        root = (2,) + (0,) * 11                  # 2/3
+        prob = self._two_thirds_problem(10)
+        assert pin(hensel_solve(prob)) == (-1, root, 11, 10, 1, (2, 4, 8), -1)
+        assert pin(fixed_point_solve(prob)) == (
+            -1, root, 11, 10, 1, (2, 4, 6, 8, 10), -1)
+
+    def test_negative_valuation_start_short_of_target(self):
+        prob = self._two_thirds_problem(11)
+        for solve in (hensel_solve, fixed_point_solve):
+            with pytest.raises(PrecisionExhausted,
+                               match="cannot certify the value even modulo q\\^11"):
+                solve(prob)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dvfield.errors import DomainError, InsufficientPrecision
+from dvfield.errors import (DomainError, InsufficientPrecision,
+                            PrecisionExhausted)
 from dvfield.localfield import FieldElement, Qp, invert_one_minus
 from dvfield.series import TailProfile, TruncatedSeries, polynomial
 from dvfield.special import exp_series
@@ -66,6 +67,21 @@ class TestEval:
     def test_inadmissible_argument(self):
         with pytest.raises(DomainError):
             geometric(Q7).eval(el(Q7, 3, 1, 12), 8)
+
+    def test_reports_the_precision_it_certifies(self):
+        # at v(x) = -1 the square loses two digits of the data's 3^12
+        f = polynomial(Q3, [Fraction(-4, 9), 0, 1], 12)
+        x = el(Q3, 1, 3, 12)
+        got = f.eval(x, 12)
+        assert got.abs_precision == 10
+        assert got == f.eval(x, 10)
+        assert f.eval(x, 8).abs_precision == 8
+
+    def test_tail_must_start_within_the_stored_coefficients(self):
+        # a_2..a_9 would be covered by neither the stored part nor the tail
+        with pytest.raises(ValueError):
+            TruncatedSeries(Q5, (el(Q5, 1), el(Q5, 5)),
+                            TailProfile(10, Fraction(1), Fraction(8)))
 
     def test_evaluation_bound(self):
         rng = random.Random(7)
@@ -204,6 +220,11 @@ class TestThresholdAndIsometry:
         ok, _ = polynomial(Q2, [0, 0, 1], 8).isometry_criterion(
             0, el(Q2, 1, 1, 8), 0)
         assert not ok
+
+    def test_isometry_needs_the_derivative_at_full_precision(self):
+        f = polynomial(Q5, [0, 1, 1], 4)
+        with pytest.raises(PrecisionExhausted):
+            f.isometry_criterion(0, el(Q5, 1, 1, 10), 2)
 
     def test_certified_pairs_scale_exactly(self):
         f = polynomial(Q5, [0, 0, 1], 12)
