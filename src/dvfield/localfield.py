@@ -1,25 +1,30 @@
 """Finite-precision exact arithmetic in Q_p and F_q((T)).
 
-Both fields share one element shape: an integer valuation, a normalized
-sequence of base-q digits (leading digit nonzero), and an absolute
-precision N meaning the element is known modulo q^N (uniformizer^N).
-An element that is indistinguishable from zero at its precision carries
-valuation INFINITY and no digits.
+Both fields share one element shape, the FLINT padic_t model: an integer
+valuation v, an integer unit u and an absolute precision N, for the value
+uniformizer^v * u known modulo q^N (uniformizer^N).  The unit carries the
+k = N - v relative digits and its lowest digit is nonzero.  An element
+that is indistinguishable from zero at its precision carries valuation
+INFINITY and unit 0.
 
-The two kinds differ only in how digit windows combine: p-adic windows
-are integers modulo p^k (addition carries), Laurent windows are
-coefficient vectors over F_q (no carries).
+The two kinds differ only in how the unit int holds its digits: Q_p
+keeps an integer below p^k, F_q((T)) one coefficient per fixed-width bit
+slot.  Each kind has a handful of small kernels on that int (`arith`),
+chosen once per descriptor, so the element methods below hold no
+kind-specific code.  `digits` derives the base-q digits, lowest first,
+from the unit; text output, JSON and orderings read them there.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Tuple
+import functools
+from dataclasses import dataclass, field
+from typing import Sequence, Tuple
 
+from .arith import LaurentArith, PadicArith
 from .errors import DivisionByIndistinguishableZero, DomainError, PrecisionExhausted
-from .valuation import INFINITY, Magnitude, Valuation, is_infinite, require_prime, vp
+from .valuation import INFINITY, Magnitude, Valuation, is_infinite, require_prime
 
 
 class FieldKind(enum.Enum):
@@ -27,16 +32,24 @@ class FieldKind(enum.Enum):
     LAURENT = "laurent"
 
 
+@functools.cache
+def _arith(kind: FieldKind, q: int):
+    return (PadicArith if kind is FieldKind.PADIC else LaurentArith)(q)
+
+
 @dataclass(frozen=True)
 class FieldDescriptor:
     kind: FieldKind
     q: int
     rho1_exponent: int = 1
+    # the kind's kernels, shared by every descriptor of the same field
+    arith: PadicArith | LaurentArith = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_prime(self.q)
         if self.rho1_exponent < 1:
             raise ValueError("rho1_exponent must be positive")
+        object.__setattr__(self, "arith", _arith(self.kind, self.q))
 
     @property
     def base_token(self) -> str:
@@ -52,33 +65,46 @@ def laurent_field(q: int, rho1_exponent: int = 1) -> FieldDescriptor:
     return FieldDescriptor(FieldKind.LAURENT, q, rho1_exponent)
 
 
-def _int_digits(n: int, q: int, length: int) -> list:
-    out = []
-    for _ in range(length):
-        n, d = divmod(n, q)
-        out.append(d)
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     descriptor: FieldDescriptor
     valuation: Valuation
-    digits: Tuple[int, ...]
+    unit: int
     abs_precision: int
+
+    def __post_init__(self):
+        v = self.valuation
+        if v is INFINITY:
+            if self.unit != 0:
+                raise ValueError("an element indistinguishable from zero has unit 0")
+        elif not v < self.abs_precision:
+            raise ValueError(f"valuation {v} is not below the absolute precision "
+                             f"{self.abs_precision}")
+        elif self.unit <= 0 or not self.descriptor.arith.low(self.unit):
+            raise ValueError("the unit's lowest digit must be nonzero")
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero_to_precision(cls, descriptor: FieldDescriptor, prec: int) -> "FieldElement":
-        return cls(descriptor, INFINITY, (), prec)
+        return cls(descriptor, INFINITY, 0, prec)
 
     @classmethod
-    def _normalized(cls, descriptor, v0: int, window: list, prec: int) -> "FieldElement":
-        for t, d in enumerate(window):
-            if d:
-                return cls(descriptor, v0 + t, tuple(window[t:]), prec)
-        return cls.zero_to_precision(descriptor, prec)
+    def _normalized(cls, descriptor, v0: int, window: int, prec: int) -> "FieldElement":
+        """The element whose digits from position v0 on are those of the
+        unit-shaped int window, which may start with zero digits."""
+        if window == 0:
+            return cls.zero_to_precision(descriptor, prec)
+        t, u = descriptor.arith.strip(window)
+        return cls(descriptor, v0 + t, u, prec)
+
+    @classmethod
+    def from_digits(cls, descriptor: FieldDescriptor, v0: int, digits: Sequence[int],
+                    prec: int) -> "FieldElement":
+        """sum digits[i] * uniformizer^(v0 + i) + O(uniformizer^prec), for
+        base-q digits 0 <= d < q, lowest first, with v0 + len(digits) <=
+        prec; the first digits may be zero."""
+        return cls._normalized(descriptor, v0, descriptor.arith.pack(digits), prec)
 
     @classmethod
     def from_rational(cls, descriptor: FieldDescriptor, numerator: int,
@@ -93,26 +119,19 @@ class FieldElement:
             raise ZeroDivisionError("zero denominator")
         if numerator == 0:
             return cls.zero_to_precision(descriptor, prec)
-        q = descriptor.q
-        if descriptor.kind is FieldKind.PADIC:
-            va = vp(q, numerator)
-            vb = vp(q, denominator)
-            v = va - vb
-            k = prec - v
-            if k <= 0:
-                return cls.zero_to_precision(descriptor, prec)
-            m = q ** k
-            a = numerator // q ** va
-            b = denominator // q ** vb
-            unit = a * pow(b, -1, m) % m
-            return cls._normalized(descriptor, v, _int_digits(unit, q, k), prec)
-        if denominator % q == 0:
+        K = descriptor.arith
+        vb, b = K.split(denominator)
+        if vb is INFINITY:
             raise DivisionByIndistinguishableZero(
                 "denominator is zero in the residue field")
-        c = numerator * pow(denominator, -1, q) % q
-        if c == 0 or prec <= 0:
+        va, a = K.split(numerator)
+        if va is INFINITY:
             return cls.zero_to_precision(descriptor, prec)
-        return cls(descriptor, 0, (c,) + (0,) * (prec - 1), prec)
+        v = va - vb
+        k = prec - v
+        if k <= 0:
+            return cls.zero_to_precision(descriptor, prec)
+        return cls(descriptor, v, K.quotient(a, b, k), prec)
 
     @classmethod
     def one(cls, descriptor: FieldDescriptor, prec: int) -> "FieldElement":
@@ -131,6 +150,13 @@ class FieldElement:
         return self.abs_precision - self.valuation
 
     @property
+    def digits(self) -> Tuple[int, ...]:
+        """The relative_precision base-q digits of the unit, lowest first."""
+        if self.valuation is INFINITY:
+            return ()
+        return self.descriptor.arith.digits(self.unit, self.abs_precision - self.valuation)
+
+    @property
     def valuation_lower_bound(self) -> int:
         """Certified lower bound on the true valuation."""
         if self.is_zero_to_precision:
@@ -143,19 +169,12 @@ class FieldElement:
                 "magnitude undetermined: element indistinguishable from zero")
         return Magnitude(self.descriptor.q, self.valuation)
 
-    def _unit_int(self) -> int:
-        q = self.descriptor.q
-        value = 0
-        for d in reversed(self.digits):
-            value = value * q + d
-        return value
-
     # -- arithmetic --------------------------------------------------
 
     def _check_same(self, other: "FieldElement") -> None:
         if not isinstance(other, FieldElement):
             raise TypeError("expected a FieldElement")
-        if other.descriptor != self.descriptor:
+        if other.descriptor is not self.descriptor and other.descriptor != self.descriptor:
             raise ValueError("mismatched field descriptors")
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
@@ -165,35 +184,19 @@ class FieldElement:
             return other.truncate(N)
         if other.is_zero_to_precision:
             return self.truncate(N)
-        q = self.descriptor.q
         v0 = min(self.valuation, other.valuation)
         k = N - v0
         if k <= 0:
             return FieldElement.zero_to_precision(self.descriptor, N)
-        if self.descriptor.kind is FieldKind.PADIC:
-            total = (self._unit_int() * q ** (self.valuation - v0)
-                     + other._unit_int() * q ** (other.valuation - v0)) % q ** k
-            window = _int_digits(total, q, k)
-        else:
-            window = [0] * k
-            for elem in (self, other):
-                off = elem.valuation - v0
-                for i, d in enumerate(elem.digits):
-                    if off + i < k:
-                        window[off + i] = (window[off + i] + d) % q
+        window = self.descriptor.arith.add(self.unit, self.valuation - v0,
+                                           other.unit, other.valuation - v0, k)
         return FieldElement._normalized(self.descriptor, v0, window, N)
 
     def __neg__(self) -> "FieldElement":
         if self.is_zero_to_precision:
             return self
-        q = self.descriptor.q
-        if self.descriptor.kind is FieldKind.PADIC:
-            k = len(self.digits)
-            window = _int_digits((-self._unit_int()) % q ** k, q, k)
-        else:
-            window = [(-d) % q for d in self.digits]
-        return FieldElement(self.descriptor, self.valuation, tuple(window),
-                            self.abs_precision)
+        u = self.descriptor.arith.neg(self.unit, self.abs_precision - self.valuation)
+        return FieldElement(self.descriptor, self.valuation, u, self.abs_precision)
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
@@ -207,38 +210,19 @@ class FieldElement:
             if self.is_zero_to_precision and other.is_zero_to_precision:
                 prec = self.abs_precision + other.abs_precision
             return FieldElement.zero_to_precision(self.descriptor, prec)
-        q = self.descriptor.q
         v = self.valuation + other.valuation
         k = min(self.relative_precision, other.relative_precision)
-        if self.descriptor.kind is FieldKind.PADIC:
-            window = _int_digits(self._unit_int() * other._unit_int() % q ** k, q, k)
-        else:
-            window = [0] * k
-            for i, a in enumerate(self.digits[:k]):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.digits[: k - i]):
-                    window[i + j] = (window[i + j] + a * b) % q
-        return FieldElement._normalized(self.descriptor, v, window, v + k)
+        # a product of units is a unit: nothing to normalize
+        u = self.descriptor.arith.mul(self.unit, other.unit, k)
+        return FieldElement(self.descriptor, v, u, v + k)
 
     def inverse(self) -> "FieldElement":
         if self.is_zero_to_precision:
             raise DivisionByIndistinguishableZero(
                 "divisor indistinguishable from zero at its precision")
-        q = self.descriptor.q
         k = self.relative_precision
-        if self.descriptor.kind is FieldKind.PADIC:
-            window = _int_digits(pow(self._unit_int(), -1, q ** k), q, k)
-        else:
-            inv0 = pow(self.digits[0], -1, q)
-            window = [inv0] + [0] * (k - 1)
-            for n in range(1, k):
-                acc = 0
-                for i in range(1, min(n, len(self.digits) - 1) + 1):
-                    acc += self.digits[i] * window[n - i]
-                window[n] = (-inv0 * acc) % q
         v = -self.valuation
-        return FieldElement(self.descriptor, v, tuple(window), v + k)
+        return FieldElement(self.descriptor, v, self.descriptor.arith.inv(self.unit, k), v + k)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         self._check_same(other)
@@ -255,32 +239,21 @@ class FieldElement:
         beyond the relative window)."""
         if self.is_zero_to_precision:
             return self
-        q = self.descriptor.q
-        if n == 0:
+        K = self.descriptor.arith
+        t, m = K.split(n)
+        if t is INFINITY:
             return FieldElement.zero_to_precision(self.descriptor, self.abs_precision)
-        if self.descriptor.kind is FieldKind.PADIC:
-            t = 0
-            m = n
-            while m % q == 0:
-                m //= q
-                t += 1
-            k = len(self.digits)
-            window = _int_digits(self._unit_int() * m % q ** k, q, k)
-            v = self.valuation + t
-            return FieldElement._normalized(self.descriptor, v, window, v + k)
-        c = n % q
-        if c == 0:
-            return FieldElement.zero_to_precision(self.descriptor, self.abs_precision)
-        window = [d * c % q for d in self.digits]
-        return FieldElement(self.descriptor, self.valuation, tuple(window),
-                            self.abs_precision)
+        k = self.relative_precision
+        v = self.valuation + t
+        return FieldElement(self.descriptor, v, K.mul(self.unit, K.quotient(m, 1, k), k),
+                            v + k)
 
     def shift(self, k: int) -> "FieldElement":
         """Multiply by uniformizer^k."""
         if self.is_zero_to_precision:
             return FieldElement.zero_to_precision(self.descriptor,
                                                   self.abs_precision + k)
-        return FieldElement(self.descriptor, self.valuation + k, self.digits,
+        return FieldElement(self.descriptor, self.valuation + k, self.unit,
                             self.abs_precision + k)
 
     # -- precision management ----------------------------------------
@@ -293,8 +266,9 @@ class FieldElement:
             return self
         if self.is_zero_to_precision or self.valuation >= prec:
             return FieldElement.zero_to_precision(self.descriptor, prec)
-        window = list(self.digits[: prec - self.valuation])
-        return FieldElement._normalized(self.descriptor, self.valuation, window, prec)
+        # the lowest digit survives, so the result is still normalized
+        u = self.descriptor.arith.truncate(self.unit, prec - self.valuation)
+        return FieldElement(self.descriptor, self.valuation, u, prec)
 
     def agrees_with(self, other: "FieldElement", prec: int) -> bool:
         """Whether v(self - other) >= prec, certified."""
@@ -314,7 +288,7 @@ class FieldElement:
             raise DomainError("residue requires valuation >= 0")
         if self.is_zero_to_precision or self.valuation > 0:
             return 0
-        return self.digits[0]
+        return self.descriptor.arith.low(self.unit)
 
     def reduce_mod(self, j: int) -> int:
         """Canonical representative in [0, q^j): the image in Z/q^jZ for
@@ -325,16 +299,9 @@ class FieldElement:
             raise PrecisionExhausted(f"j={j} exceeds precision {self.abs_precision}")
         if self.valuation_lower_bound < 0:
             raise DomainError("reduce_mod requires valuation >= 0")
-        if self.is_zero_to_precision:
+        if self.is_zero_to_precision or self.valuation >= j:
             return 0
-        q = self.descriptor.q
-        value = 0
-        for i, d in enumerate(self.digits):
-            pos = self.valuation + i
-            if pos >= j:
-                break
-            value += d * q ** pos
-        return value
+        return self.descriptor.arith.code(self.unit, self.valuation, j)
 
     def __repr__(self):
         sym = self.descriptor.base_token

@@ -261,14 +261,11 @@ def digit_set_analysis(p: int, digit_set: Sequence[int], depth: int,
 
 def _lift_center(ball: BallSpec, prec: int) -> FieldElement:
     """The canonical center as an exact element at higher precision (its
-    truncated digits are a genuine member of the ball)."""
+    truncated digits, padded with zeros, are a genuine member of the ball)."""
     c = ball.center
     if prec <= c.abs_precision:
         return c
-    if c.is_zero_to_precision:
-        return FieldElement.zero_to_precision(c.descriptor, prec)
-    window = list(c.digits) + [0] * (prec - c.abs_precision)
-    return FieldElement(c.descriptor, c.valuation, tuple(window), prec)
+    return FieldElement(c.descriptor, c.valuation, c.unit, prec)
 
 
 def _certify_similarity(f: TruncatedSeries, ball: BallSpec

@@ -9,6 +9,7 @@ enumerator used to verify both.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -243,7 +244,7 @@ def enumerate_roots(f: TruncatedSeries, m: int, scan_depth: int = 4,
     roots: List[FieldElement] = []
     if report.bound_N > 0:
         start = FieldElement.zero_to_precision(f.descriptor, f.working_precision)
-        _scan_class(f, m, start, m, m + scan_depth, target_prec, roots)
+        _scan_class(_Scanned(f, m), m, start, m, m + scan_depth, target_prec, roots)
 
     certs: List[RootCertificate] = []
     zero = FieldElement.zero_to_precision(f.descriptor, f.working_precision)
@@ -256,24 +257,45 @@ def enumerate_roots(f: TruncatedSeries, m: int, scan_depth: int = 4,
     return certs
 
 
-def _scan_class(f: TruncatedSeries, m: int, center: FieldElement, level: int,
+class _Scanned:
+    """A series under the residue scan.  f changes only on deflation, so
+    what the class visits read of it is computed once per series, when a
+    visit first needs it."""
+
+    def __init__(self, f: TruncatedSeries, m: int):
+        self.f = f
+        self.m = m
+
+    @functools.cached_property
+    def fprime(self) -> TruncatedSeries:
+        return self.f.derivative()
+
+    @functools.cached_property
+    def e_m1(self) -> Valuation:
+        return self.f.sup_exponent(self.m, 1)
+
+    @functools.cached_property
+    def e_m2(self) -> Valuation:
+        return self.f.sup_exponent(self.m, 2)
+
+
+def _scan_class(s: _Scanned, m: int, center: FieldElement, level: int,
                 max_level: int, target_prec: int, out: List[FieldElement]) -> None:
     """Depth-first scan of the class {x = center mod q^level, v(x) >= m}."""
+    f = s.f
     q = f.descriptor.q
     prec = min(f.working_precision, center.abs_precision)
     w = _eval_at_least(f, center, prec, 1)
-    e_m1 = f.sup_exponent(m, 1)
     # any root x in the class has |f(center)| = |f(center) - f(x)| <=
     # M1 * q^(-level), so a smaller determined residual rules the class out
-    if not w.is_zero_to_precision and w.valuation < e_m1 + (level - m):
+    if not w.is_zero_to_precision and w.valuation < s.e_m1 + (level - m):
         return
-    fp = _eval_at_least(f.derivative(), center, prec, 1)
-    e_m2 = f.sup_exponent(m, 2)
+    fp = _eval_at_least(s.fprime, center, prec, 1)
     if not fp.is_zero_to_precision:
         e_fp = fp.valuation
         e_d = w.valuation_lower_bound
         close_in_class = e_d >= e_fp + (level - m) + m
-        quadratic = e_m2 + e_d > 2 * e_fp
+        quadratic = s.e_m2 + e_d > 2 * e_fp
         if close_in_class and quadratic:
             zero = FieldElement.zero_to_precision(f.descriptor,
                                                   f.working_precision)
@@ -285,7 +307,7 @@ def _scan_class(f: TruncatedSeries, m: int, center: FieldElement, level: int,
                 strassmann_bound(g0, m)
             except AllCoefficientsIndistinguishableFromZero:
                 return
-            _scan_class(g0, m, center, level, max_level, target_prec, out)
+            _scan_class(_Scanned(g0, m), m, center, level, max_level, target_prec, out)
             return
     if level >= max_level:
         raise UndecidedMultipleRoot(
@@ -295,4 +317,4 @@ def _scan_class(f: TruncatedSeries, m: int, center: FieldElement, level: int,
         # d * uniformizer^level, exact, at the center's precision
         bump = FieldElement.from_rational(
             f.descriptor, d, 1, center.abs_precision - level).shift(level)
-        _scan_class(f, m, center + bump, level + 1, max_level, target_prec, out)
+        _scan_class(s, m, center + bump, level + 1, max_level, target_prec, out)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Tuple
 
 from .errors import DomainError
 from .localfield import FieldDescriptor, FieldElement, FieldKind
@@ -29,9 +30,33 @@ def _require_padic(descriptor: FieldDescriptor) -> None:
             "in the residue characteristic")
 
 
+def _inverse_factorials(descriptor: FieldDescriptor, count: int,
+                        prec: int) -> Tuple[FieldElement, ...]:
+    """1/j! for j < count, each known modulo p^prec, from one running
+    product: each j contributes the inverse of its p-free part to the
+    unit and its factors p to the valuation (Legendre's count of p in j!)."""
+    p = descriptor.q
+    top = prec + factorial_valuation(p, count - 1)
+    modulus = p ** top
+    inv, v = 1, 0
+    out = []
+    for j in range(count):
+        if j:
+            free = j
+            while free % p == 0:
+                free //= p
+                v += 1
+            inv = inv * pow(free, -1, modulus) % modulus
+        # inv holds top relative digits; keep those below p^prec
+        out.append(FieldElement(descriptor, -v, inv, top - v).truncate(prec))
+    return tuple(out)
+
+
 def exp_series(descriptor: FieldDescriptor, target_prec: int) -> TruncatedSeries:
     """E(X) with coefficients stored at enough precision to evaluate
-    modulo q^target_prec anywhere in the convergence domain."""
+    modulo q^target_prec anywhere in the convergence domain.  Enough
+    coefficients are stored up front that neither E nor its derivative
+    builds more for an evaluation to that target."""
     _require_padic(descriptor)
     p = descriptor.q
     slope = Fraction(-1, p - 1)
@@ -45,7 +70,12 @@ def exp_series(descriptor: FieldDescriptor, target_prec: int) -> TruncatedSeries
     def factory(j: int, _prec=coeff_prec, _d=descriptor) -> FieldElement:
         return FieldElement.from_rational(_d, 1, math.factorial(j), _prec)
 
-    coeffs = tuple(factory(j) for j in range(2))
+    # the derivative's tail bound sits one slope lower and its index one
+    # below, so its cutoff at the domain edge needs coefficients through
+    # this index of E
+    stored = max(2, math.ceil((Fraction(target_prec) - intercept - slope)
+                              / (slope + m)) + 1)
+    coeffs = _inverse_factorials(descriptor, stored, coeff_prec)
     tail = TailProfile(start=1, slope=slope, intercept=intercept)
     return TruncatedSeries(descriptor, coeffs, tail, factory)
 

@@ -114,7 +114,7 @@ def parse_element(text: str, descriptor: FieldDescriptor,
             raise ParseError(f"digit exponent {e} at or beyond precision "
                              f"{rel_prec}", offset)
     window = [digits.get(e, 0) for e in range(rel_prec)]
-    return FieldElement._normalized(descriptor, v, window, v + rel_prec)
+    return FieldElement.from_digits(descriptor, v, window, v + rel_prec)
 
 
 def render_element(x: FieldElement) -> str:

@@ -212,6 +212,24 @@ class TestEnumerateRoots:
             assert not cert.derivative_magnitude.is_zero
 
 
+def test_scan_builds_each_derivative_once(monkeypatch):
+    """The residue scan builds f' once per series it scans, and only for a
+    series with a class it cannot rule out: X^3 - X and its first
+    deflation x^2 - 1 here, while x + 1 and x - 1 are ruled out at their
+    first class.  Each of the 3 roots costs 2 more in hensel_solve (found
+    by the scan, then solved again by enumerate_roots): 8 in all."""
+    calls = []
+    derivative = TruncatedSeries.derivative
+
+    def counted(self):
+        calls.append(self)
+        return derivative(self)
+    monkeypatch.setattr(TruncatedSeries, "derivative", counted)
+    certs = enumerate_roots(polynomial(Q3, [0, -1, 0, 1], 12), 0)
+    assert len(certs) == 3
+    assert len(calls) == 8
+
+
 def pin(cert):
     """Every field of a certificate as plain data."""
     r = cert.root

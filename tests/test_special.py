@@ -39,6 +39,24 @@ class TestCoefficients:
             assert E.coeffs[j].agrees_with(expected,
                                            min(6, E.coeffs[j].abs_precision))
 
+    def test_stored_coefficients_equal_from_rational(self):
+        for p in (2, 3, 5, 7):
+            E = exp_series(Qp(p), 30)
+            prec = E.working_precision
+            for j, c in enumerate(E.coeffs):
+                assert c == FieldElement.from_rational(Qp(p), 1, math.factorial(j), prec)
+
+    def test_evaluations_to_the_target_build_no_coefficients(self, monkeypatch):
+        for p in (2, 3, 5, 7):
+            for N in (8, 30, 75):
+                E = exp_series(Qp(p), N)
+                x = el(Qp(p), p ** e_min(p) * (1 + p), 1, N)    # the domain edge
+                D = E.derivative()
+                monkeypatch.setattr(FieldElement, "from_rational", None)
+                E.eval(x, N)
+                D.eval(x, N)
+                monkeypatch.undo()
+
     def test_tail_minorant_certified_far_out(self):
         for p in (2, 3, 5, 7):
             E = exp_series(Qp(p), 8)
