@@ -11,16 +11,24 @@ approximations.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, InsufficientPrecision
 from .localfield import FieldDescriptor, FieldElement
 from .series import TruncatedSeries
 
 RationalMeasure = Fraction
+
+
+def _require_precision(center: FieldElement, radius_exponent: int) -> None:
+    if center.abs_precision < radius_exponent:
+        raise InsufficientPrecision(
+            f"center precision {center.abs_precision} below radius "
+            f"exponent {radius_exponent}")
 
 
 @dataclass(frozen=True)
@@ -35,10 +43,7 @@ class BallSpec:
     @classmethod
     def make(cls, center: FieldElement, radius_exponent: int) -> "BallSpec":
         """Canonical form: the center reduced modulo q^radius_exponent."""
-        if center.abs_precision < radius_exponent:
-            raise InsufficientPrecision(
-                f"center precision {center.abs_precision} below radius "
-                f"exponent {radius_exponent}")
+        _require_precision(center, radius_exponent)
         return cls(center.truncate(radius_exponent), radius_exponent)
 
     @classmethod
@@ -84,20 +89,43 @@ def ball_relation(b1: BallSpec, b2: BallSpec) -> BallRelation:
     return BallRelation.FIRST_INSIDE_SECOND
 
 
+def _prefix(c: FieldElement, r: int) -> Tuple[object, int]:
+    """c modulo q^r as a hashable (valuation, unit) pair, for r at most
+    c's precision: equal exactly when two centers agree modulo q^r."""
+    t = c.truncate(r)
+    return t.valuation, t.unit
+
+
 def maximal_disjointify(family: Iterable[BallSpec]) -> BallFamily:
-    """The maximal balls of the family: pairwise disjoint, same union."""
-    balls = sorted(family, key=lambda b: b.sort_key())
+    """The maximal balls of the family: pairwise disjoint, same union,
+    in `sort_key` order.
+
+    Two balls nest or are disjoint, so B(c, q^(-j)) lies inside a ball
+    of radius exponent r <= j exactly when c modulo q^r is that ball's
+    canonical center.  One pass over the balls, big ones first, keeps
+    the canonical centers of the kept balls per radius exponent; a ball
+    is absorbed when its center's prefix at some kept radius is there.
+    That is one truncation and one hash lookup per distinct kept radius,
+    O(n * #radii), where comparing every pair of balls was O(n^2).
+
+    Raises ValueError for a family over more than one field and
+    InsufficientPrecision for a center known below its radius exponent."""
+    balls = sorted(family, key=BallSpec.sort_key)
+    for b in balls:
+        if b.descriptor != balls[0].descriptor:
+            raise ValueError("mismatched field descriptors")
+        _require_precision(b.center, b.radius_exponent)
     kept: List[BallSpec] = []
-    for b in balls:          # ascending radius exponent: big balls first
-        absorbed = False
-        for k in kept:
-            rel = ball_relation(b, k)
-            if rel in (BallRelation.EQUAL, BallRelation.FIRST_INSIDE_SECOND):
-                absorbed = True
-                break
-        if not absorbed:
+    # kept radius exponent -> prefixes of the kept centers; radii arrive
+    # in ascending order, all at most the current ball's
+    prefixes: Dict[int, set] = {}
+    for b in balls:
+        c = b.center
+        if not any(_prefix(c, r) in seen for r, seen in prefixes.items()):
+            prefixes.setdefault(b.radius_exponent, set()).add(
+                _prefix(c, b.radius_exponent))
             kept.append(b)
-    return tuple(sorted(kept, key=lambda b: b.sort_key()))
+    return tuple(kept)
 
 
 def haar_union_measure(family: Iterable[BallSpec]) -> RationalMeasure:
@@ -229,33 +257,42 @@ class DigitSetReport:
     ball_count: int
     content_estimate: ContentEstimate
     dimension: DimensionValue
-    cover_codes: Tuple[int, ...]
+    digit_set: Tuple[int, ...]
+
+    @functools.cached_property
+    def cover_codes(self) -> Tuple[int, ...]:
+        """The ball_count = |digit_set|^depth codes in [0, p^depth) whose
+        digits all lie in the digit set, ascending; built on first read,
+        as there are exponentially many."""
+        p, depth = self.content_estimate.scale_p, self.content_estimate.depth
+        codes = [0]
+        # most significant digit first, so the codes come out ascending
+        for level in reversed(range(depth)):
+            scale = p ** level
+            codes = [c + d * scale for c in codes for d in self.digit_set]
+        return tuple(codes)
 
 
 def digit_set_analysis(p: int, digit_set: Sequence[int], depth: int,
                        beta) -> DigitSetReport:
     """The set of unit-ball elements all of whose digits lie in digit_set:
-    its exact minimal cover at radius p^(-depth), the Hausdorff content
-    estimate at exponent beta, and the exact box dimension."""
-    digits = sorted(set(digit_set))
+    its exact minimal cover at radius p^(-depth) (counted in closed form,
+    its codes listed only when read), the Hausdorff content estimate at
+    exponent beta, and the exact box dimension."""
+    digits = tuple(sorted(set(digit_set)))
     if not digits:
         raise DomainError("empty digit set")
     if any(d < 0 or d >= p for d in digits):
         raise DomainError("digit outside the residue range")
     if depth < 1:
         raise DomainError("depth must be at least 1")
-    codes = [0]
-    for level in range(depth):
-        scale = p ** level
-        codes = [c + d * scale for c in codes for d in digits]
-    codes.sort()
     num, den, base = _beta_parts(p, beta)
     estimate = ContentEstimate(len(digits), p, depth, num, den, base)
     return DigitSetReport(
-        ball_count=len(codes),
+        ball_count=len(digits) ** depth,
         content_estimate=estimate,
         dimension=DimensionValue(len(digits), p),
-        cover_codes=tuple(codes),
+        digit_set=digits,
     )
 
 
@@ -309,9 +346,16 @@ def image_measure(f: TruncatedSeries, ball: BallSpec,
         raise DomainError("ball not certified admissible for f")
     _, e_fp = certified
     subfamily = tuple(subfamily)
+    # a member lies inside the ball when it is no larger and its center
+    # agrees with the ball's canonical center modulo q^j
+    j = ball.radius_exponent
+    _require_precision(ball.center, j)
+    center = _prefix(ball.center, j)
     for b in subfamily:
-        if ball_relation(b, ball) not in (BallRelation.EQUAL,
-                                          BallRelation.FIRST_INSIDE_SECOND):
+        if b.descriptor != ball.descriptor:
+            raise ValueError("mismatched field descriptors")
+        _require_precision(b.center, b.radius_exponent)
+        if b.radius_exponent < j or _prefix(b.center, j) != center:
             raise DomainError("subfamily member not contained in the ball")
     q = ball.descriptor.q
     return Fraction(q) ** (-e_fp) * haar_union_measure(subfamily)

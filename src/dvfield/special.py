@@ -108,8 +108,10 @@ def log_solve(z: FieldElement, target_prec: int) -> FieldElement:
     if (z - one).valuation_lower_bound < e_min(p):
         raise DomainError(
             f"logarithm undefined: need valuation(z - 1) >= {e_min(p)}")
+    # digits of z beyond the target cannot change x modulo q^target_prec,
+    # and solving at them would evaluate past the stored coefficients
+    z = z.truncate(min(z.abs_precision, target_prec))
     f = exp_series(z.descriptor, target_prec)
-    x0 = FieldElement.zero_to_precision(z.descriptor,
-                                        min(z.abs_precision, f.working_precision))
+    x0 = FieldElement.zero_to_precision(z.descriptor, z.abs_precision)
     cert = hensel_solve(HenselProblem(f, x0, z, e_min(p), target_prec))
     return cert.root.truncate(min(cert.root.abs_precision, target_prec))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -143,6 +144,17 @@ class TestCommands:
                     "--depth", "5", "--beta-log", "2"]) == 0
         text = out_of(capsys)[0]
         assert "balls=32" in text and "(vs 1: +0)" in text
+
+    def test_dim_digits_at_depth_12_builds_no_cover(self, capsys):
+        tracemalloc.start()
+        try:
+            assert run(["dim", "-p", "5", "digits", "--digits", "0,1,2,4",
+                        "--depth", "12"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "balls=16777216" in out_of(capsys)[0]
+        assert peak < 1024 * 1024
 
     def test_laurent_element(self, capsys):
         assert run(["elem", "-p", "3", "--laurent", "-N", "4",

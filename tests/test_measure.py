@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from dvfield.errors import (DomainError, InsufficientPrecision,
                             PrecisionExhausted)
 from dvfield.localfield import FieldElement, Qp, laurent_field, FieldDescriptor, FieldKind
+from dvfield import measure
 from dvfield.measure import (BallRelation, BallSpec, ContentEstimate,
                              DimensionValue, admissible_ball, ball_relation,
                              digit_set_analysis, haar_union_measure,
@@ -119,6 +122,36 @@ class TestUnionMeasure:
                 covered |= residues(b, depth)
             assert haar_union_measure(fam) == Fraction(len(covered), p**depth)
 
+    def test_spread_family_makes_no_pairwise_comparison(self, monkeypatch):
+        """2000 balls in 80 disjoint anchors over Q_5: the scan makes no
+        ball_relation call and at most n * (distinct radii + 1) center
+        truncations, so an O(n^2) pairwise scan cannot come back."""
+        rng = random.Random(4)
+        anchors = rng.sample(range(5 ** 3), 80)
+        spec = [(a, 3) for a in anchors]
+        while len(spec) < 2000:
+            j = rng.randint(3, 6)
+            spec.append((rng.choice(anchors) + 5 ** 3 * rng.randrange(5 ** (j - 3)), j))
+        fam = [ball(Q5, code, j, prec=j) for code, j in spec]
+        calls = {"relation": 0, "truncate": 0}
+        truncate = FieldElement.truncate
+
+        def counted_truncate(self, prec):
+            calls["truncate"] += 1
+            return truncate(self, prec)
+
+        def counted_relation(b1, b2):
+            calls["relation"] += 1
+            return ball_relation(b1, b2)
+        monkeypatch.setattr(FieldElement, "truncate", counted_truncate)
+        monkeypatch.setattr(measure, "ball_relation", counted_relation)
+        got = haar_union_measure(fam)
+        monkeypatch.undo()
+        assert calls["relation"] == 0
+        radii = {j for _, j in spec}
+        assert calls["truncate"] <= len(fam) * (len(radii) + 1)
+        assert got == Fraction(80, 5 ** 3)      # every other ball is in an anchor
+
     def test_laurent_family(self):
         L3 = laurent_field(3)
         fam = [BallSpec.make(el(L3, 1, 1, 6), 1),
@@ -201,6 +234,26 @@ class TestDigitSets:
         assert report.ball_count == 125
         assert report.content_estimate.equals_one()
         assert report.dimension.rational_value() == 1
+
+    def test_cover_codes_are_every_digit_string_ascending(self):
+        for p, digits, depth in ((3, [0, 2], 4), (5, [4, 1, 0], 3), (7, [3], 2)):
+            codes = digit_set_analysis(p, digits, depth, 1).cover_codes
+            expected = sorted(sum(d * p ** i for i, d in enumerate(word))
+                              for word in itertools.product(digits, repeat=depth))
+            assert codes == tuple(expected)
+
+    def test_deep_cover_is_counted_not_built(self):
+        """4^12 = 16.7 M codes: counted in closed form, none built unless
+        cover_codes is read."""
+        tracemalloc.start()
+        try:
+            report = digit_set_analysis(5, [0, 1, 2, 4], 12, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.ball_count == 4 ** 12
+        assert report.content_estimate.compare_to_one() == -1
+        assert peak < 64 * 1024
 
     def test_validation(self):
         with pytest.raises(DomainError):

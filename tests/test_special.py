@@ -163,6 +163,27 @@ class TestLog:
         x = log_solve(FieldElement.one(Q5, 14), 10)
         assert x.is_zero_to_precision
 
+    def test_solves_at_the_target_not_at_z_precision(self, monkeypatch):
+        # z known far beyond the target: the solve works to the target only,
+        # so its evals read the stored 1/j! and build none
+        x = el(Q3, 3 * 7, 1, 60)
+        fine, coarse = exp_eval(x, 60), exp_eval(x, 30)
+        from_rational = FieldElement.from_rational.__func__
+        counts = []
+        for z in (fine, coarse):
+            calls = []
+
+            def counted(cls, *args, **kwargs):
+                calls.append(args)
+                return from_rational(cls, *args, **kwargs)
+            monkeypatch.setattr(FieldElement, "from_rational", classmethod(counted))
+            root = log_solve(z, 30)
+            monkeypatch.undo()
+            counts.append(len(calls))
+            assert root == log_solve(coarse, 30)
+            assert root.agrees_with(x, 30)
+        assert counts[0] == counts[1]
+
     def test_domain_requires_one_plus_small(self):
         with pytest.raises(DomainError):
             log_solve(el(Q5, 2, 1, 12), 8)
