@@ -121,12 +121,10 @@ def _cmd_roots(args) -> int:
     f = parse_series(args.f, desc, args.precision + 4)
     certs = enumerate_roots(f, args.ball, scan_depth=args.depth,
                             target_prec=args.precision)
-    lines = [render_element(c.root.truncate(
-        min(c.root.abs_precision, args.precision))) for c in certs]
-    payload = {"count": len(certs),
-               "roots": [_element_json(c.root.truncate(
-                   min(c.root.abs_precision, args.precision))) for c in certs]}
-    return _emit(args, "\n".join(lines) if lines else "(no roots)", payload)
+    roots = [c.root.truncate(min(c.root.abs_precision, args.precision)) for c in certs]
+    payload = {"count": len(roots), "roots": [_element_json(r) for r in roots]}
+    text = "\n".join(render_element(r) for r in roots) if roots else "(no roots)"
+    return _emit(args, text, payload)
 
 
 def _cmd_strassmann(args) -> int:
@@ -151,20 +149,12 @@ def _cmd_log(args) -> int:
     return _emit(args, render_element(out), _element_json(out))
 
 
-def _cmd_recenter(args) -> int:
+def _cmd_shift(args) -> int:
+    """`recenter` or `deflate`, the series method the subcommand names."""
     desc = _descriptor(args)
     f = parse_series(args.f, desc, args.precision)
     x0 = parse_element(args.x0, desc, args.precision)
-    out = f.recenter(x0, args.ball)
-    payload = {"coefficients": [_element_json(c) for c in out.coeffs]}
-    return _emit(args, render_series(out), payload)
-
-
-def _cmd_deflate(args) -> int:
-    desc = _descriptor(args)
-    f = parse_series(args.f, desc, args.precision)
-    x0 = parse_element(args.x0, desc, args.precision)
-    out = f.deflate(x0, args.ball)
+    out = getattr(f, args.command)(x0, args.ball)
     payload = {"coefficients": [_element_json(c) for c in out.coeffs]}
     return _emit(args, render_series(out), payload)
 
@@ -302,15 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("value")
     p.set_defaults(func=_cmd_log)
 
-    p = sub.add_parser("recenter", help="rewrite f around a new center")
-    common(p, ball=True, series=True)
-    p.add_argument("--x0", required=True)
-    p.set_defaults(func=_cmd_recenter)
-
-    p = sub.add_parser("deflate", help="divide out a root: f(x)-f(x0) = (x-x0) g(x)")
-    common(p, ball=True, series=True)
-    p.add_argument("--x0", required=True)
-    p.set_defaults(func=_cmd_deflate)
+    for name, text in (("recenter", "rewrite f around a new center"),
+                       ("deflate", "divide out a root: f(x)-f(x0) = (x-x0) g(x)")):
+        p = sub.add_parser(name, help=text)
+        common(p, ball=True, series=True)
+        p.add_argument("--x0", required=True)
+        p.set_defaults(func=_cmd_shift)
 
     p = sub.add_parser("measure", help="Haar measure of ball families")
     common(p)

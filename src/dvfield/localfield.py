@@ -204,12 +204,8 @@ class FieldElement:
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check_same(other)
         if self.is_zero_to_precision or other.is_zero_to_precision:
-            prec = (self.abs_precision + other.valuation_lower_bound
-                    if self.is_zero_to_precision
-                    else other.abs_precision + self.valuation)
-            if self.is_zero_to_precision and other.is_zero_to_precision:
-                prec = self.abs_precision + other.abs_precision
-            return FieldElement.zero_to_precision(self.descriptor, prec)
+            return FieldElement.zero_to_precision(
+                self.descriptor, self.valuation_lower_bound + other.valuation_lower_bound)
         v = self.valuation + other.valuation
         k = min(self.relative_precision, other.relative_precision)
         # a product of units is a unit: nothing to normalize

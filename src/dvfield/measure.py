@@ -56,8 +56,10 @@ class BallSpec:
         return Fraction(self.descriptor.q) ** (-self.radius_exponent)
 
     def sort_key(self):
+        """Radius exponent, then the center's valuation, unit and
+        precision: a total order on balls that reads no digits."""
         c = self.center
-        return (self.radius_exponent, c.valuation_lower_bound, c.digits)
+        return (self.radius_exponent, c.valuation_lower_bound, c.unit, c.abs_precision)
 
 
 BallFamily = Tuple[BallSpec, ...]
@@ -98,7 +100,9 @@ def _prefix(c: FieldElement, r: int) -> Tuple[object, int]:
 
 def maximal_disjointify(family: Iterable[BallSpec]) -> BallFamily:
     """The maximal balls of the family: pairwise disjoint, same union,
-    in `sort_key` order.
+    in `sort_key` order: by radius exponent, the biggest balls first,
+    and within one radius by the center's valuation, then its unit as an
+    integer, then its precision.
 
     Two balls nest or are disjoint, so B(c, q^(-j)) lies inside a ball
     of radius exponent r <= j exactly when c modulo q^r is that ball's

@@ -11,7 +11,9 @@ without bound.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
@@ -173,112 +175,88 @@ class TruncatedSeries:
     def cauchy_product(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if other.descriptor != self.descriptor:
             raise ValueError("mismatched field descriptors")
+        a, b = self.coeffs, other.coeffs
         if self.is_polynomial and other.is_polynomial:
-            n_out = max(self.stored_len + other.stored_len - 1, 0)
+            n_out = max(len(a) + len(b) - 1, 0)
         else:
-            n_out = min(self.stored_len, other.stored_len)
-        coeffs = []
-        zf = self._zero_coeff() if self.coeffs else other._zero_coeff()
-        for n in range(n_out):
-            acc = None
-            for j in range(n + 1):
-                a = self.coeffs[j] if j < self.stored_len else None
-                b = other.coeffs[n - j] if n - j < other.stored_len else None
-                if a is None or b is None:
-                    continue
-                term = a * b
-                acc = term if acc is None else acc + term
-            coeffs.append(acc if acc is not None else zf)
+            n_out = min(len(a), len(b))
+        if a and b:
+            coeffs = tuple(
+                functools.reduce(operator.add, (
+                    a[j] * b[n - j]
+                    for j in range(max(0, n - len(b) + 1), min(n + 1, len(a)))))
+                for n in range(n_out))
+        else:
+            # an empty polynomial is zero to the other factor's precision;
+            # two empty factors fix no precision, and _zero_coeff raises
+            coeffs = ((self if a else other)._zero_coeff(),) * n_out
         tail = None
         if not (self.is_polynomial and other.is_polynomial):
             sf, if_ = self.global_minorant()
             sg, ig = other.global_minorant()
-            slope = min(sf, sg)
             # v(c_n) >= min_j (v(a_j) + v(b_{n-j})) >= slope*n + if_ + ig
-            tail = TailProfile(n_out, slope, if_ + ig)
-        return TruncatedSeries(self.descriptor, tuple(coeffs), tail)
+            tail = TailProfile(n_out, min(sf, sg), if_ + ig)
+        return TruncatedSeries(self.descriptor, coeffs, tail)
 
     # -- recentering and deflation ----------------------------------------
 
-    def _materialize_for_shift(self, x0: FieldElement, m: int) -> "TruncatedSeries":
+    def _shifted_sums(self, x0: FieldElement, m: int, first: int,
+                      binomial: bool) -> Tuple[FieldElement, ...]:
+        """c_j = sum_{l >= j} w(l, j) a_l x0^(l-j) for first <= j < n, with
+        w = C(l, j) when binomial and 1 otherwise, over the n coefficients
+        past which every dropped term a_l x0^(l-j) has valuation at least
+        the working precision.  With a tail, each c_j is cut to the
+        certified valuation of its dropped terms."""
         self.require_radius(m)
         if x0.valuation_lower_bound < m:
             raise DomainError("center magnitude exceeds the ball radius")
-        if self.tail is None:
-            return self
-        target = self.working_precision
-        s, i = self.tail.slope, self.tail.intercept
-        # all dropped source terms a_l x0^(l-j), j < stored_len, must have
-        # valuation >= target: (s+m)l + i - m*(stored_len-1) >= target
-        need = Fraction(target + m * max(self.stored_len - 1, 0)) - i
-        cut = max(self.tail.start, self.stored_len, math.ceil(need / (s + m)))
-        return self.materialized(cut)
+        f = self
+        if self.tail is not None:
+            s, i = self.tail.slope, self.tail.intercept
+            # dropped terms need (s+m)l + i - m*(stored_len-1) >= target
+            need = Fraction(self.working_precision + m * max(self.stored_len - 1, 0)) - i
+            f = self.materialized(max(self.tail.start, self.stored_len,
+                                      math.ceil(need / (s + m))))
+            # min_{l>=n} v(a_l) + m(l - j) is ceil(s*n + i) + m(n - j)
+            dropped = math.ceil(s * f.stored_len + i) + m * f.stored_len
+        n = f.stored_len
+        if n <= first:
+            return ()
+        powers = [FieldElement.one(self.descriptor, x0.abs_precision + f.working_precision)]
+        for _ in range(first + 1, n):
+            powers.append(powers[-1] * x0)
 
-    def _dropped_tail_bound(self, cut: int, m: int, j: int) -> Optional[int]:
-        """Certified valuation of the contribution of source indices >= cut
-        to the j-th shifted coefficient: min_{l>=cut} (v(a_l) + m(l - j))."""
-        if self.tail is None:
-            return None
-        s, i = self.tail.slope, self.tail.intercept
-        return math.ceil(s * cut + i) + m * (cut - j)
+        def term(l: int, j: int) -> FieldElement:
+            t = f.coeffs[l] * powers[l - j]
+            return t.mul_integer(math.comb(l, j)) if binomial else t
+
+        coeffs = []
+        for j in range(first, n):
+            c = functools.reduce(operator.add, (term(l, j) for l in range(j, n)))
+            if self.tail is not None:
+                c = c.truncate(min(c.abs_precision, dropped - m * j))
+            coeffs.append(c)
+        return tuple(coeffs)
 
     def recenter(self, x0: FieldElement, m: int) -> "TruncatedSeries":
         """Coefficients of f(x0 + W) as a series in W on |W| <= q^(-m)."""
-        f = self._materialize_for_shift(x0, m)
-        coeffs = []
-        for j in range(f.stored_len):
-            acc = None
-            power = None
-            for l in range(j, f.stored_len):
-                if power is None:
-                    power = FieldElement.from_rational(
-                        self.descriptor, 1, 1, x0.abs_precision + f.working_precision)
-                else:
-                    power = power * x0
-                term = (f.coeffs[l] * power).mul_integer(math.comb(l, j))
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = self._zero_coeff()
-            bound = self._dropped_tail_bound(f.stored_len, m, j)
-            if bound is not None:
-                acc = acc.truncate(min(acc.abs_precision, bound))
-            coeffs.append(acc)
+        coeffs = self._shifted_sums(x0, m, 0, binomial=True)
         tail = None
         if self.tail is not None:
             slope, intercept = self.global_minorant()
-            tail = TailProfile(max(self.tail.start, len(coeffs)), slope,
-                               intercept)
-        return TruncatedSeries(self.descriptor, tuple(coeffs), tail)
+            tail = TailProfile(max(self.tail.start, len(coeffs)), slope, intercept)
+        return TruncatedSeries(self.descriptor, coeffs, tail)
 
     def deflate(self, x0: FieldElement, m: int) -> "TruncatedSeries":
         """g0 with f(x) - f(x0) = (x - x0) * g0(x) on |x| <= q^(-m);
         coefficient b_l = sum_{j >= l+1} a_j x0^(j-l-1), so g0(x0) = f'(x0)."""
-        f = self._materialize_for_shift(x0, m)
-        n_out = max(f.stored_len - 1, 0)
-        coeffs = []
-        for l in range(n_out):
-            acc = None
-            power = None
-            for j in range(l + 1, f.stored_len):
-                if power is None:
-                    power = FieldElement.from_rational(
-                        self.descriptor, 1, 1, x0.abs_precision + f.working_precision)
-                else:
-                    power = power * x0
-                term = f.coeffs[j] * power
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = self._zero_coeff()
-            bound = self._dropped_tail_bound(f.stored_len, m, l + 1)
-            if bound is not None:
-                acc = acc.truncate(min(acc.abs_precision, bound))
-            coeffs.append(acc)
+        coeffs = self._shifted_sums(x0, m, 1, binomial=False)
         tail = None
         if self.tail is not None:
             slope, intercept = self.global_minorant()
-            tail = TailProfile(max(self.tail.start - 1, n_out), slope,
+            tail = TailProfile(max(self.tail.start - 1, len(coeffs)), slope,
                                intercept + slope)
-        return TruncatedSeries(self.descriptor, tuple(coeffs), tail)
+        return TruncatedSeries(self.descriptor, coeffs, tail)
 
     # -- analytic criteria --------------------------------------------------
 

@@ -176,9 +176,6 @@ class Magnitude:
         self._check(other)
         return Magnitude(self.base_q, min(self.exponent, other.exponent))
 
-    def scaled(self, extra_exponent: int) -> "Magnitude":
-        return Magnitude(self.base_q, self.exponent + extra_exponent)
-
     def __lt__(self, other: "Magnitude") -> bool:
         self._check(other)
         return other.exponent < self.exponent

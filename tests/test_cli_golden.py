@@ -1,4 +1,4 @@
-"""Golden `--json` output of the element-producing CLI commands.
+"""Golden `--json` output of the element- and series-producing CLI commands.
 
 Each case is a command line and the exact line it printed when recorded;
 the element fields (valuation, digits, abs_precision and text) must stay
@@ -77,6 +77,22 @@ CASES = [
      '{"count": 3, "roots": [{"abs_precision": 6, "digits": [1, 0, 0, 0, 0, 0], "text": "1 + O(T^6)", "valuation": 0}, {"abs_precision": 6, "digits": [2, 0, 0, 0, 0, 0], "text": "2 + O(T^6)", "valuation": 0}, {"abs_precision": 6, "digits": [], "text": "O(T^6)", "valuation": null}]}'),
     (['roots', '-p', '5', '--json', '--laurent', '-N', '6', '--f', 'X^2 - 1'],
      '{"count": 2, "roots": [{"abs_precision": 6, "digits": [1, 0, 0, 0, 0, 0], "text": "1 + O(T^6)", "valuation": 0}, {"abs_precision": 6, "digits": [4, 0, 0, 0, 0, 0], "text": "4 + O(T^6)", "valuation": 0}]}'),
+    (['recenter', '-p', '5', '--json', '-N', '8', '--f', 'X^3 - 2*X + 7', '--x0', '3'],
+     '{"coefficients": [{"abs_precision": 8, "digits": [3, 0, 1, 0, 0, 0, 0, 0], "text": "3 + 1*5^2 + O(5^8)", "valuation": 0}, {"abs_precision": 8, "digits": [1, 0, 0, 0, 0, 0], "text": "5^2 * 1 + O(5^6)", "valuation": 2}, {"abs_precision": 8, "digits": [4, 1, 0, 0, 0, 0, 0, 0], "text": "4 + 1*5 + O(5^8)", "valuation": 0}, {"abs_precision": 8, "digits": [1, 0, 0, 0, 0, 0, 0, 0], "text": "1 + O(5^8)", "valuation": 0}]}'),
+    (['recenter', '-p', '3', '--json', '-N', '10', '--f', '1/2*X^2 + 4/3*X - 1', '--x0', '3^1 * 2 + O(3^6)'],
+     '{"coefficients": [{"abs_precision": 6, "digits": [1, 2, 2, 0, 0, 0], "text": "1 + 2*3 + 2*3^2 + O(3^6)", "valuation": 0}, {"abs_precision": 7, "digits": [1, 1, 2, 0, 0, 0, 0, 0], "text": "3^-1 * 1 + 1*3 + 2*3^2 + O(3^8)", "valuation": -1}, {"abs_precision": 10, "digits": [2, 1, 1, 1, 1, 1, 1, 1, 1, 1], "text": "2 + 1*3 + 1*3^2 + 1*3^3 + 1*3^4 + 1*3^5 + 1*3^6 + 1*3^7 + 1*3^8 + 1*3^9 + O(3^10)", "valuation": 0}]}'),
+    (['recenter', '-p', '2', '--json', '-N', '5', '--f', '1 + X + tail:exp', '--x0', '4', '--m', '2'],
+     '{"coefficients": [{"abs_precision": 6, "digits": [1, 0, 0, 0, 1, 0], "text": "1 + 1*2^4 + O(2^6)", "valuation": 0}, {"abs_precision": 5, "digits": [1, 1, 1, 0], "text": "2^1 * 1 + 1*2 + 1*2^2 + O(2^4)", "valuation": 1}, {"abs_precision": 4, "digits": [1, 0, 1, 1, 0], "text": "2^-1 * 1 + 1*2^2 + 1*2^3 + O(2^5)", "valuation": -1}, {"abs_precision": 4, "digits": [1, 1, 1, 1, 0], "text": "2^-1 * 1 + 1*2 + 1*2^2 + 1*2^3 + O(2^5)", "valuation": -1}, {"abs_precision": 2, "digits": [1, 1, 1, 1, 0], "text": "2^-3 * 1 + 1*2 + 1*2^2 + 1*2^3 + O(2^5)", "valuation": -3}, {"abs_precision": 2, "digits": [1, 1, 0, 0, 0], "text": "2^-3 * 1 + 1*2 + O(2^5)", "valuation": -3}, {"abs_precision": 1, "digits": [1, 0, 0, 0, 0], "text": "2^-4 * 1 + O(2^5)", "valuation": -4}, {"abs_precision": -1, "digits": [1, 1, 1], "text": "2^-4 * 1 + 1*2 + 1*2^2 + O(2^3)", "valuation": -4}, {"abs_precision": -3, "digits": [1, 1, 1, 0], "text": "2^-7 * 1 + 1*2 + 1*2^2 + O(2^4)", "valuation": -7}, {"abs_precision": -5, "digits": [1, 1], "text": "2^-7 * 1 + 1*2 + O(2^2)", "valuation": -7}, {"abs_precision": -7, "digits": [1], "text": "2^-8 * 1 + O(2^1)", "valuation": -8}, {"abs_precision": -9, "digits": [], "text": "O(2^-9)", "valuation": null}]}'),
+    (['recenter', '-p', '5', '--json', '--laurent', '-N', '8', '--f', 'X^3 + 2*X + 1', '--x0', '2 + 3*T + O(T^6)'],
+     '{"coefficients": [{"abs_precision": 6, "digits": [3, 2, 4, 2, 0, 0], "text": "3 + 2*T + 4*T^2 + 2*T^3 + O(T^6)", "valuation": 0}, {"abs_precision": 6, "digits": [4, 1, 2, 0, 0, 0], "text": "4 + 1*T + 2*T^2 + O(T^6)", "valuation": 0}, {"abs_precision": 6, "digits": [1, 4, 0, 0, 0, 0], "text": "1 + 4*T + O(T^6)", "valuation": 0}, {"abs_precision": 8, "digits": [1, 0, 0, 0, 0, 0, 0, 0], "text": "1 + O(T^8)", "valuation": 0}]}'),
+    (['deflate', '-p', '7', '--json', '-N', '8', '--f', 'X^2 - 4', '--x0', '2'],
+     '{"coefficients": [{"abs_precision": 8, "digits": [2, 0, 0, 0, 0, 0, 0, 0], "text": "2 + O(7^8)", "valuation": 0}, {"abs_precision": 8, "digits": [1, 0, 0, 0, 0, 0, 0, 0], "text": "1 + O(7^8)", "valuation": 0}]}'),
+    (['deflate', '-p', '5', '--json', '-N', '10', '--f', 'X^4 - 3*X^2 + 1/2*X + 6', '--x0', '5^-1 * 1 + O(5^3)', '--m', '-1'],
+     '{"coefficients": [{"abs_precision": 0, "digits": [1, 0, 2], "text": "5^-3 * 1 + 2*5^2 + O(5^3)", "valuation": -3}, {"abs_precision": 1, "digits": [1, 0, 2], "text": "5^-2 * 1 + 2*5^2 + O(5^3)", "valuation": -2}, {"abs_precision": 2, "digits": [1, 0, 0], "text": "5^-1 * 1 + O(5^3)", "valuation": -1}, {"abs_precision": 10, "digits": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0], "text": "1 + O(5^10)", "valuation": 0}]}'),
+    (['deflate', '-p', '3', '--json', '-N', '4', '--f', 'tail:exp', '--x0', '3^1 * 2 + O(3^4)', '--m', '1'],
+     '{"coefficients": [{"abs_precision": 5, "digits": [1, 0, 2, 2, 2], "text": "1 + 2*3^2 + 2*3^3 + 2*3^4 + O(3^5)", "valuation": 0}, {"abs_precision": 4, "digits": [1, 1, 1], "text": "3^1 * 1 + 1*3 + 1*3^2 + O(3^3)", "valuation": 1}, {"abs_precision": 4, "digits": [2, 2, 2, 2, 0], "text": "3^-1 * 2 + 2*3 + 2*3^2 + 2*3^3 + O(3^5)", "valuation": -1}, {"abs_precision": 4, "digits": [2, 0, 2, 2, 0], "text": "3^-1 * 2 + 2*3^2 + 2*3^3 + O(3^5)", "valuation": -1}, {"abs_precision": 3, "digits": [2, 1, 1, 2], "text": "3^-1 * 2 + 1*3 + 1*3^2 + 2*3^3 + O(3^4)", "valuation": -1}, {"abs_precision": 3, "digits": [2, 2, 0, 1, 2], "text": "3^-2 * 2 + 2*3 + 1*3^3 + 2*3^4 + O(3^5)", "valuation": -2}, {"abs_precision": 2, "digits": [2, 0, 0], "text": "3^-1 * 2 + O(3^3)", "valuation": -1}, {"abs_precision": 1, "digits": [2, 1, 0, 1], "text": "3^-3 * 2 + 1*3 + 1*3^3 + O(3^4)", "valuation": -3}, {"abs_precision": 1, "digits": [1, 0, 1, 1, 2], "text": "3^-4 * 1 + 1*3^2 + 1*3^3 + 2*3^4 + O(3^5)", "valuation": -4}, {"abs_precision": 0, "digits": [1, 1, 0, 2], "text": "3^-4 * 1 + 1*3 + 2*3^3 + O(3^4)", "valuation": -4}, {"abs_precision": -1, "digits": [], "text": "O(3^-1)", "valuation": null}, {"abs_precision": -2, "digits": [2, 2, 1], "text": "3^-5 * 2 + 2*3 + 1*3^2 + O(3^3)", "valuation": -5}, {"abs_precision": -3, "digits": [2, 0], "text": "3^-5 * 2 + O(3^2)", "valuation": -5}, {"abs_precision": -4, "digits": [2], "text": "3^-5 * 2 + O(3^1)", "valuation": -5}, {"abs_precision": -5, "digits": [2], "text": "3^-6 * 2 + O(3^1)", "valuation": -6}, {"abs_precision": -6, "digits": [], "text": "O(3^-6)", "valuation": null}, {"abs_precision": -7, "digits": [], "text": "O(3^-7)", "valuation": null}, {"abs_precision": -8, "digits": [], "text": "O(3^-8)", "valuation": null}]}'),
+    (['deflate', '-p', '3', '--json', '--laurent', '-N', '8', '--f', 'X^3 - X + 2', '--x0', 'T^1 * 1 + 2*T + O(T^7)', '--m', '1'],
+     '{"coefficients": [{"abs_precision": 8, "digits": [2, 0, 1, 1, 1, 0, 0, 0], "text": "2 + 1*T^2 + 1*T^3 + 1*T^4 + O(T^8)", "valuation": 0}, {"abs_precision": 8, "digits": [1, 2, 0, 0, 0, 0, 0], "text": "T^1 * 1 + 2*T + O(T^7)", "valuation": 1}, {"abs_precision": 8, "digits": [1, 0, 0, 0, 0, 0, 0, 0], "text": "1 + O(T^8)", "valuation": 0}]}'),
 ]
 
 

@@ -152,6 +152,23 @@ class TestUnionMeasure:
         assert calls["truncate"] <= len(fam) * (len(radii) + 1)
         assert got == Fraction(80, 5 ** 3)      # every other ball is in an anchor
 
+    @pytest.mark.parametrize("desc", [Q5, laurent_field(3)])
+    def test_union_reads_no_digits(self, monkeypatch, desc):
+        """Ordering the balls and finding the maximal ones work on the
+        centers' (valuation, unit, precision); no center's digits are
+        unpacked."""
+        rng = random.Random(6)
+        fam = [ball(desc, rng.randrange(1, desc.q ** 6), rng.randint(1, 6))
+               for _ in range(60)]
+        want = haar_union_measure(fam)
+        reads = []
+        digits = FieldElement.digits
+        monkeypatch.setattr(FieldElement, "digits",
+                            property(lambda x: reads.append(x) or digits.fget(x)))
+        assert haar_union_measure(fam) == want
+        assert maximal_disjointify(fam) == maximal_disjointify(reversed(fam))
+        assert reads == []
+
     def test_laurent_family(self):
         L3 = laurent_field(3)
         fam = [BallSpec.make(el(L3, 1, 1, 6), 1),
