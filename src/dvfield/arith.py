@@ -5,7 +5,9 @@ valuation up to its absolute precision, as one Python int.  The kernels
 here are the only code that knows how that int holds the digits:
 
 - PadicArith: the unit is an integer in [0, p^k) for k digits, and every
-  kernel is one big-int operation modulo p^k (addition carries).
+  kernel is one big-int operation modulo p^k (addition carries), except
+  inversion, which above a few machine words is Newton iteration on the
+  product.
 - LaurentArith: coefficient i sits in slot i, a fixed number of bytes
   wide for each q (no carries between slots).  Addition and negation act
   on every slot at once and reduce with masks; multiplication is one
@@ -14,7 +16,9 @@ here are the only code that knows how that int holds the digits:
   product.
 
 Every kernel takes units and digit counts and returns a unit int, or
-plain ints, never an element.
+plain ints, never an element.  Besides the element methods, series
+evaluation (`series._horner`) calls them directly, to run Horner's rule
+on ints.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ class PadicArith:
     def __init__(self, p: int):
         self.q = p
         self._powers = {}
+        # digits below which pow's extended Euclid beats Newton iteration:
+        # about 40 bits, one or two CPython limbs (measured for p = 2..7)
+        self._newton_from = max(1, 40 // p.bit_length())
 
     def power(self, k: int) -> int:
         """p^k, from a small cache of the exponents in use."""
@@ -59,8 +66,9 @@ class PadicArith:
 
     def quotient(self, a: int, b: int, k: int) -> int:
         """The unit a/b to k digits, for integers a, b prime to p."""
-        m = self.power(k)
-        return a * pow(b, -1, m) % m
+        if b != 1:      # mul_integer passes b = 1, which needs no inverse
+            a *= self.inv(b, k)
+        return a % self.power(k)
 
     def add(self, ua: int, sa: int, ub: int, sb: int, k: int) -> int:
         """ua * p^sa + ub * p^sb modulo p^k."""
@@ -77,7 +85,16 @@ class PadicArith:
         return ua * ub % self.power(k)
 
     def inv(self, u: int, k: int) -> int:
-        return pow(u, -1, self.power(k))
+        """1/u modulo p^k.  Above a few machine words, Newton iteration
+        g <- g (2 - u g) from the inverse to ceil(k/2) digits: two
+        products per doubling, where pow's extended Euclid is quadratic
+        in k.  The inverse modulo p^k is unique, so both give the same
+        int."""
+        m = self.power(k)
+        if k <= self._newton_from:
+            return pow(u, -1, m)
+        g = self.inv(u, (k + 1) // 2)
+        return g * (2 - u % m * g) % m
 
     def truncate(self, u: int, k: int) -> int:
         return u % self.power(k)

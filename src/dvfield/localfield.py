@@ -184,12 +184,10 @@ class FieldElement:
             return other.truncate(N)
         if other.is_zero_to_precision:
             return self.truncate(N)
+        # each valuation lies below its precision, so v0 < N
         v0 = min(self.valuation, other.valuation)
-        k = N - v0
-        if k <= 0:
-            return FieldElement.zero_to_precision(self.descriptor, N)
         window = self.descriptor.arith.add(self.unit, self.valuation - v0,
-                                           other.unit, other.valuation - v0, k)
+                                           other.unit, other.valuation - v0, N - v0)
         return FieldElement._normalized(self.descriptor, v0, window, N)
 
     def __neg__(self) -> "FieldElement":

@@ -16,11 +16,11 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import DomainError, InsufficientPrecision
 from .localfield import FieldDescriptor, FieldElement
-from .valuation import Magnitude, Valuation
+from .valuation import INFINITY, Magnitude, Valuation
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,11 @@ class TruncatedSeries:
         """The sum at x modulo q^min(target_prec, P), where P is the
         precision the stored coefficients and x support; every dropped
         term is certified to have valuation >= target_prec.  Callers that
-        need the full target check the result's abs_precision."""
+        need the full target check the result's abs_precision.
+
+        Horner's rule runs as one kernel on (valuation, unit,
+        abs_precision) ints (`_horner`), which builds no element until
+        the result."""
         if x.descriptor != self.descriptor:
             raise ValueError("mismatched field descriptors")
         m = x.valuation_lower_bound
@@ -147,9 +151,8 @@ class TruncatedSeries:
         f = self.materialized(cut)
         if cut == 0:
             return FieldElement.zero_to_precision(self.descriptor, target_prec)
-        total = f.coeffs[cut - 1]
-        for j in range(cut - 2, -1, -1):
-            total = total * x + f.coeffs[j]
+        v, u, N = _horner(self.descriptor.arith, f.coeffs[:cut], x)
+        total = FieldElement(self.descriptor, v, u, N)
         return total.truncate(min(target_prec, total.abs_precision))
 
     def _cutoff(self, m: int, target_prec: int) -> int:
@@ -279,6 +282,60 @@ class TruncatedSeries:
         e_m2 = self.sup_exponent(m, 2)
         certified = e_m2 + separation_exponent > fp_mag.exponent
         return certified, fp_mag
+
+
+def _horner(K, coeffs: Sequence[FieldElement],
+            x: FieldElement) -> Tuple[Valuation, int, int]:
+    """sum_j coeffs[j] x^j as (valuation, unit, abs_precision), by
+    total <- total * x + coeffs[j] from the top, on the units through
+    the kind's kernels K.  Each step restates FieldElement.__mul__ and
+    then __add__ exactly, zero-to-precision cases included, so the
+    triple is the one the same loop over elements returns."""
+    mul, add, truncate, strip = K.mul, K.add, K.truncate, K.strip
+    xv, xu = x.valuation, x.unit
+    x_zero, x_low, xk = xv is INFINITY, x.valuation_lower_bound, x.relative_precision
+    top_down = reversed(coeffs)
+    top = next(top_down)
+    v, u, N = top.valuation, top.unit, top.abs_precision
+    for c in top_down:
+        # total * x: a zero factor gives zero at the sum of the valuation
+        # lower bounds; units multiply at the smaller relative precision
+        if x_zero or v is INFINITY:
+            N = (N if v is INFINITY else v) + x_low
+            v, u = INFINITY, 0
+        else:
+            k = N - v
+            if xk < k:
+                k = xk
+            v += xv
+            u = mul(u, xu, k)
+            N = v + k
+        # + c, known to the smaller absolute precision n
+        cv, cN = c.valuation, c.abs_precision
+        n = cN if cN < N else N
+        # (a zero summand truncates the other; truncating a unit to its
+        # own digit count keeps it)
+        if v is INFINITY:
+            if cv is INFINITY or cv >= n:
+                v, u = INFINITY, 0
+            else:
+                v, u = cv, truncate(c.unit, n - cv)
+        elif cv is INFINITY:
+            if v >= n:
+                v, u = INFINITY, 0
+            else:
+                u = truncate(u, n - v)
+        else:
+            # both valuations are below their precisions, so v0 < n
+            v0 = v if v < cv else cv
+            w = add(u, v - v0, c.unit, cv - v0, n - v0)
+            if w:
+                t, u = strip(w)
+                v = v0 + t
+            else:
+                v, u = INFINITY, 0
+        N = n
+    return v, u, N
 
 
 def polynomial(descriptor: FieldDescriptor, rational_coeffs, prec: int) -> TruncatedSeries:

@@ -32,23 +32,29 @@ def _require_padic(descriptor: FieldDescriptor) -> None:
 
 def _inverse_factorials(descriptor: FieldDescriptor, count: int,
                         prec: int) -> Tuple[FieldElement, ...]:
-    """1/j! for j < count, each known modulo p^prec, from one running
-    product: each j contributes the inverse of its p-free part to the
-    unit and its factors p to the valuation (Legendre's count of p in j!)."""
-    p = descriptor.q
-    top = prec + factorial_valuation(p, count - 1)
-    modulus = p ** top
-    inv, v = 1, 0
-    out = []
-    for j in range(count):
+    """1/j! for j < count, each known modulo p^prec (prec >= 1), with one
+    modular inversion.  Write j! = p^v_j F_j, with v_j Legendre's count
+    of p in j! and F_j the product of the p-free parts free_i of i <= j;
+    1/j! has valuation -v_j and unit inv(F_j) modulo p^(prec + v_j).  The
+    last F_j is built as a running product and inverted; walking down with
+    inv(F_(j-1)) = inv(F_j) * free_j modulo p^(prec + v_(j-1)), a modulus
+    that only shrinks, gives every other unit."""
+    p, K = descriptor.q, descriptor.arith
+    v = factorial_valuation(p, count - 1)
+    m = p ** (prec + v)
+    F = 1
+    for j in range(2, count):
+        F = F * K.strip(j)[1] % m
+    inv = K.inv(F, prec + v)
+    out = [None] * count
+    for j in range(count - 1, -1, -1):
+        out[j] = FieldElement(descriptor, -v, inv, prec)
         if j:
-            free = j
-            while free % p == 0:
-                free //= p
-                v += 1
-            inv = inv * pow(free, -1, modulus) % modulus
-        # inv holds top relative digits; keep those below p^prec
-        out.append(FieldElement(descriptor, -v, inv, top - v).truncate(prec))
+            t, free = K.strip(j)
+            if t:
+                v -= t
+                m //= p ** t
+            inv = inv * free % m
     return tuple(out)
 
 

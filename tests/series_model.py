@@ -1,10 +1,18 @@
-"""Reference model of the shifted sums: the per-coefficient loops.
+"""Reference models of the series code, as element loops.
 
-`recenter`, `deflate` and `cauchy_product` as they were written before
-recentering and deflation became one shifted sum: each output
-coefficient restarts the powers of x0 from one, and every accumulator
-starts empty.  The library's methods must return exactly what these
-return (coefficients, tail and refusals).
+- `recenter`, `deflate` and `cauchy_product` as they were written before
+  recentering and deflation became one shifted sum: each output
+  coefficient restarts the powers of x0 from one, and every accumulator
+  starts empty.
+- `eval` as Horner's rule over `FieldElement`s, total <- total * x + a_j,
+  before it became one kernel on (valuation, unit, abs_precision) ints;
+  `exp_eval` as that loop over a stored `exp_series` (the domain check
+  stays the library's).
+- `inverse_factorials` as one `pow(free, -1, p^top)` per index, before
+  the table was built with a single inversion.
+
+The library must return exactly what these return (coefficients, tail,
+values and refusals).
 """
 
 from __future__ import annotations
@@ -13,8 +21,10 @@ import math
 from fractions import Fraction
 
 from dvfield.errors import DomainError
-from dvfield.localfield import FieldElement
+from dvfield.localfield import FieldDescriptor, FieldElement
 from dvfield.series import TailProfile, TruncatedSeries
+from dvfield.special import exp_series
+from dvfield.valuation import factorial_valuation
 
 
 def _zero_coeff(f: TruncatedSeries) -> FieldElement:
@@ -121,3 +131,42 @@ def cauchy_product(self: TruncatedSeries, other: TruncatedSeries) -> TruncatedSe
         sg, ig = other.global_minorant()
         tail = TailProfile(n_out, min(sf, sg), if_ + ig)
     return TruncatedSeries(self.descriptor, tuple(coeffs), tail)
+
+
+def eval(self: TruncatedSeries, x: FieldElement, target_prec: int) -> FieldElement:
+    if x.descriptor != self.descriptor:
+        raise ValueError("mismatched field descriptors")
+    m = x.valuation_lower_bound
+    if not self.admits_radius(m):
+        raise DomainError(
+            f"argument magnitude q^(-{m}) outside the convergence domain")
+    cut = self._cutoff(m, target_prec)
+    f = self.materialized(cut)
+    if cut == 0:
+        return FieldElement.zero_to_precision(self.descriptor, target_prec)
+    total = f.coeffs[cut - 1]
+    for j in range(cut - 2, -1, -1):
+        total = total * x + f.coeffs[j]
+    return total.truncate(min(target_prec, total.abs_precision))
+
+
+def exp_eval(x: FieldElement, target_prec: int) -> FieldElement:
+    y = eval(exp_series(x.descriptor, target_prec), x, target_prec)
+    return y.truncate(target_prec)
+
+
+def inverse_factorials(descriptor: FieldDescriptor, count: int, prec: int):
+    p = descriptor.q
+    top = prec + factorial_valuation(p, count - 1)
+    modulus = p ** top
+    inv, v = 1, 0
+    out = []
+    for j in range(count):
+        if j:
+            free = j
+            while free % p == 0:
+                free //= p
+                v += 1
+            inv = inv * pow(free, -1, modulus) % modulus
+        out.append(FieldElement(descriptor, -v, inv, top - v).truncate(prec))
+    return tuple(out)

@@ -88,6 +88,20 @@ def test_neg_and_inverse(case):
 
 
 @FUZZ
+@given(st.sampled_from((2, 3, 5, 7, 101)), st.integers(1, 2100), st.data())
+def test_padic_inverse_is_pow(p, k, data):
+    """Newton iteration above the crossover and pow below it give the one
+    inverse modulo p^k, also through quotient and for units given beyond
+    k digits or negative."""
+    K = Qp(p).arith
+    m = p ** k
+    u = data.draw(st.integers(-(m * p), m * p).filter(lambda n: n % p))
+    a = data.draw(st.integers(-10 ** 6, 10 ** 6))
+    assert K.inv(u, k) == pow(u, -1, m)
+    assert K.quotient(a, u, k) == a * pow(u, -1, m) % m
+
+
+@FUZZ
 @given(field_and(1), st.data())
 def test_truncate_and_shift(case, data):
     _, _, a = case

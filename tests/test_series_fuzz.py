@@ -1,14 +1,20 @@
-"""Fuzzing of the shifted sums and the series products.
+"""Fuzzing of evaluation, the shifted sums and the series products.
 
-Two kinds of check:
+Three kinds of check:
 
-- Against the reference model (`series_model.py`, the per-coefficient
-  loops): `recenter`, `deflate` and `cauchy_product` must return the same
-  coefficients as (valuation, unit, abs_precision) tuples, the same tail,
-  or the same error class and message.  Fields: Q_p and F_q((T)) for q in
-  {2, 3, 5, 7}; polynomials, empty series, linear tail profiles with a
-  coefficient factory, and over Q_p the exponential's tail; centers known
-  to less precision than the coefficients; radius exponents -2..2.
+- Against the reference model (`series_model.py`, the element loops):
+  `eval`, `recenter`, `deflate` and `cauchy_product` must return the same
+  value or coefficients as (valuation, unit, abs_precision) tuples, the
+  same tail, or the same error class and message.  Fields: Q_p and
+  F_q((T)) for q in {2, 3, 5, 7}; polynomials, empty series, linear tail
+  profiles with a coefficient factory, and over Q_p the exponential and
+  its derivative; zero-to-precision coefficients and arguments, partial
+  sums that cancel, negative valuations, mixed coefficient precisions;
+  points known to less precision than the coefficients; radius
+  exponents -2..2.
+- Tail minorants: every coefficient at or past a tail's start, stored,
+  built by the factory or recomputed from a longer input, has valuation
+  at least ceil(slope*j + intercept).
 - Against exact rationals over Q_p: every coefficient of `recenter`,
   `deflate` and `derivative`, and every `eval`, reduced modulo the
   precision it claims, equals the exact sum.  No result may claim more
@@ -24,8 +30,8 @@ from hypothesis import strategies as st
 
 import series_model as model
 from dvfield.localfield import FieldElement, Qp, laurent_field
-from dvfield.series import TailProfile, TruncatedSeries
-from dvfield.special import e_min, exp_series
+from dvfield.series import TailProfile, TruncatedSeries, polynomial
+from dvfield.special import e_min, exp_eval, exp_series
 
 SMALL = [(q, padic) for q in (2, 3, 5, 7) for padic in (True, False)]
 FUZZ = settings(max_examples=150, deadline=None)
@@ -61,10 +67,9 @@ def linear_factory(F, slope, intercept, k):
 
 
 @st.composite
-def series(draw, F):
+def series(draw, F, kinds=("polynomial", "tail", "exp")):
     coeffs = tuple(draw(st.lists(element(F), max_size=6)))
-    how = draw(st.sampled_from(("polynomial", "tail", "exp") if F.kind.value == "padic"
-                               else ("polynomial", "tail")))
+    how = draw(st.sampled_from([k for k in kinds if F.kind.value == "padic" or k != "exp"]))
     if how == "polynomial":
         return TruncatedSeries(F, coeffs)
     if how == "exp":
@@ -83,9 +88,9 @@ def series(draw, F):
 
 
 @st.composite
-def shift_case(draw):
+def shift_case(draw, kinds=("polynomial", "tail", "exp")):
     F = descriptor(*draw(st.sampled_from(SMALL)))
-    f = draw(series(F))
+    f = draw(series(F, kinds))
     m = draw(st.integers(-2, 2))
     if f.tail is not None and 0 < f.tail.slope + m < Fraction(1, 2):
         m += 1            # keeps the materialized length small
@@ -110,7 +115,135 @@ def outcome(call):
             s.tail, s.descriptor)
 
 
+def value_outcome(call):
+    """An element as its triple, or the error class and message."""
+    try:
+        y = call()
+    except Exception as exc:             # compared, not swallowed
+        return ("error", type(exc).__name__, str(exc))
+    return ("ok", y.valuation, y.unit, y.abs_precision, y.descriptor)
+
+
 # -- the reference model --------------------------------------------------
+
+@st.composite
+def eval_case(draw):
+    """A series, its derivative or a series whose partial sums cancel at
+    the point, a point mostly inside its domain, and a target."""
+    F = descriptor(*draw(st.sampled_from(SMALL)))
+    f = draw(series(F))
+    how = draw(st.sampled_from(("series", "derivative", "cancel")))
+    if how == "derivative":
+        f = f.derivative()
+    threshold = f.convergence_threshold()
+    low = -2 if threshold is None else threshold
+    v = draw(st.integers(low - 1, low + 3))
+    if draw(st.integers(0, 7)) == 0:
+        x = FieldElement.zero_to_precision(F, v + draw(st.integers(0, 4)))
+    else:
+        k = draw(st.integers(1, 10))
+        digits = [draw(st.integers(1, F.q - 1))]
+        digits += draw(st.lists(st.integers(0, F.q - 1), min_size=k - 1, max_size=k - 1))
+        x = FieldElement.from_digits(F, v, digits, v + k)
+    if how == "cancel":
+        # a_0 = -(a_1 x) + r with r small: the top digits of a_1 x + a_0 cancel
+        c = draw(element(F))
+        r = draw(element(F, high=16))
+        f = TruncatedSeries(F, (r - c * x, c) + f.coeffs[2:], f.tail, f.coeff_factory)
+    return f, x, draw(st.integers(-4, 16))
+
+
+@FUZZ
+@given(eval_case())
+def test_eval_matches_the_model(case):
+    f, x, target = case
+    assert value_outcome(lambda: f.eval(x, target)) == value_outcome(
+        lambda: model.eval(f, x, target))
+
+
+@st.composite
+def narrow_eval_case(draw):
+    """Short series and points whose valuations and precisions all lie in
+    a few units, so that a product lands exactly on a summand's precision,
+    sums cancel to zero and zero-to-precision terms meet often."""
+    F = descriptor(*draw(st.sampled_from(SMALL)))
+    coeffs = tuple(draw(st.lists(element(F, low=0, high=5), min_size=1, max_size=5)))
+    zero = FieldElement.zero_to_precision(F, draw(st.integers(0, 4)))
+    x = draw(st.one_of(st.just(zero), element(F, low=0, high=6)))
+    return TruncatedSeries(F, coeffs), x, draw(st.integers(-1, 6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(narrow_eval_case())
+def test_eval_on_near_precisions_matches_the_model(case):
+    f, x, target = case
+    assert value_outcome(lambda: f.eval(x, target)) == value_outcome(
+        lambda: model.eval(f, x, target))
+
+
+@pytest.mark.parametrize("q", (2, 3, 5, 7))
+@pytest.mark.parametrize("padic", (True, False))
+def test_eval_with_zero_coefficients_matches_the_model(q, padic):
+    """X^2 - 2 stores a zero-to-precision X coefficient, and O(q^a) + X a
+    zero constant that cuts the sum to a digits; at points of every
+    valuation and precision near the coefficients' the value cancels to
+    few digits or to zero."""
+    F = descriptor(q, padic)
+    one = FieldElement.one(F, 10)
+    series = [polynomial(F, [-2, 0, 1], 8)] + [
+        TruncatedSeries(F, (FieldElement.zero_to_precision(F, a), one)) for a in range(6)]
+    for f in series:
+        for v in range(-2, 4):
+            for prec in range(v + 1, v + 12):
+                k = prec - v
+                for digits in ([1] + [0] * (k - 1), [q - 1] * k, [1, q - 1] * k):
+                    x = FieldElement.from_digits(F, v, digits[:k], prec)
+                    for target in (0, 4, 8, 12):
+                        assert value_outcome(lambda: f.eval(x, target)) == value_outcome(
+                            lambda: model.eval(f, x, target))
+            x = FieldElement.zero_to_precision(F, v)
+            assert value_outcome(lambda: f.eval(x, 8)) == value_outcome(
+                lambda: model.eval(f, x, 8))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 60), st.integers(0, 3),
+       st.integers(1, 400), st.booleans(), st.data())
+def test_exponential_eval_matches_the_model(p, N, dv, num, derivative, data):
+    """E and E' at points of the domain known to less, as much or more
+    precision than the coefficients support."""
+    F = Qp(p)
+    E = exp_series(F, N)
+    f = E.derivative() if derivative else E
+    v = e_min(p) + dv
+    x = FieldElement.from_rational(F, num * p ** v, 1 + p * data.draw(st.integers(0, 30)),
+                                   data.draw(st.integers(v + 1, 2 * N + 4)))
+    target = data.draw(st.integers(N - 3, N + 3))
+    assert value_outcome(lambda: f.eval(x, target)) == value_outcome(
+        lambda: model.eval(f, x, target))
+    if target >= 1:
+        assert value_outcome(lambda: exp_eval(x, target)) == value_outcome(
+            lambda: model.exp_eval(x, target))
+
+
+def test_eval_builds_no_element_per_term(monkeypatch):
+    """A 200-term evaluation of E, through eval and through exp_eval,
+    runs no element product or sum."""
+    F = Qp(3)
+    E = exp_series(F, 101)
+    x = FieldElement.from_rational(F, 3 * 5, 7, 101)
+    assert E._cutoff(x.valuation, 101) >= 200
+    expected = model.eval(E, x, 101)
+    expected = (expected.valuation, expected.unit, expected.abs_precision)
+
+    def forbidden(a, b):
+        raise AssertionError("element arithmetic in eval")
+
+    monkeypatch.setattr(FieldElement, "__mul__", forbidden)
+    monkeypatch.setattr(FieldElement, "__add__", forbidden)
+    for y in (E.eval(x, 101), exp_eval(x, 101)):
+        assert (y.valuation, y.unit, y.abs_precision) == expected
+
 
 @FUZZ
 @given(shift_case())
@@ -293,3 +426,59 @@ def test_exponential_claims_only_what_is_proven(case, target):
         assert_proven(c, partial(j, c, lambda l: math.comb(l, j)))
     for j, c in enumerate(E.deflate(x0, m).coeffs, start=1):
         assert_proven(c, partial(j, c, lambda l: 1))
+
+
+# -- tail minorants -------------------------------------------------------
+
+def assert_tail_holds(tail, coeffs, first):
+    """coeffs[i] is coefficient first + i; those at or past tail.start
+    must have valuation at least ceil(slope*j + intercept).  A coefficient
+    zero to precision P only shows v >= P, which no bound contradicts."""
+    for j, c in enumerate(coeffs, start=first):
+        if j >= tail.start and not c.is_zero_to_precision:
+            assert c.valuation >= math.ceil(tail.slope * j + tail.intercept), (j, c, tail)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 40), st.integers(1, 30))
+def test_exponential_tails_hold(p, N, extra):
+    """E and E' against their stored and factory-built coefficients."""
+    E = exp_series(Qp(p), N)
+    for f in (E, E.derivative()):
+        longer = f.materialized(f.stored_len + extra)
+        assert_tail_holds(f.tail, longer.coeffs, 0)
+
+
+LONGER = 8
+
+
+@FUZZ
+@given(shift_case(kinds=("tail", "exp")))
+def test_shifted_sum_tails_hold(case):
+    """The tails of recenter and deflate against the coefficients the same
+    shifted sum gives from LONGER more terms of the input, each certified
+    to its own precision."""
+    f, x0, m = case
+    if (f.tail is None or not f.coeffs or not f.admits_radius(m)
+            or x0.valuation_lower_bound < m):
+        return
+    shifted = (f.recenter(x0, m), f.deflate(x0, m))
+    longer_f = f.materialized(max(g.stored_len for g in shifted) + 1 + LONGER)
+    for g, longer in zip(shifted, (longer_f.recenter(x0, m), longer_f.deflate(x0, m))):
+        assert len(longer.coeffs) > g.tail.start
+        assert_tail_holds(g.tail, longer.coeffs, 0)
+
+
+@FUZZ
+@given(product_case())
+def test_cauchy_product_tails_hold(case):
+    """The product's tail against the product of LONGER more terms of each
+    factor (a polynomial factor pads with zeros; an empty one is zero)."""
+    f, g = case
+    if not (f.coeffs and g.coeffs) or f.is_polynomial and g.is_polynomial:
+        return
+    h = f.cauchy_product(g)
+    n = h.stored_len + LONGER
+    longer = f.materialized(n).cauchy_product(g.materialized(n))
+    assert len(longer.coeffs) >= n
+    assert_tail_holds(h.tail, longer.coeffs, 0)

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+import series_model as model
 from dvfield.errors import DomainError, PrecisionExhausted
 from dvfield.localfield import FieldElement, Qp, laurent_field
-from dvfield.special import e_min, exp_eval, exp_functional_check, exp_series, log_solve
+from dvfield.special import (_inverse_factorials, e_min, exp_eval, exp_functional_check,
+                              exp_series, log_solve)
 from dvfield.valuation import factorial_valuation, vp
 
 Q2 = Qp(2)
@@ -56,6 +58,20 @@ class TestCoefficients:
                 E.eval(x, N)
                 D.eval(x, N)
                 monkeypatch.undo()
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_one_inversion_matches_the_per_index_inverses(self, p):
+        """The table built with one inversion against the frozen loop of
+        one pow per index: identical (valuation, unit, abs_precision)."""
+        def triples(coeffs):
+            return [(c.valuation, c.unit, c.abs_precision) for c in coeffs]
+        F = Qp(p)
+        for count in (1, 2, 3, p, p + 1, p * p, p * p + 1, p ** 3 + 2, 100):
+            for prec in (1, 2, 5, 40):
+                assert triples(_inverse_factorials(F, count, prec)) == triples(
+                    model.inverse_factorials(F, count, prec)), (count, prec)
+        assert triples(_inverse_factorials(F, 2001, 30)) == triples(
+            model.inverse_factorials(F, 2001, 30))
 
     def test_tail_minorant_certified_far_out(self):
         for p in (2, 3, 5, 7):
