@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import (
     AllCoefficientsIndistinguishableFromZero,
@@ -126,26 +126,130 @@ def check_hypotheses(problem: HenselProblem) -> HypothesisReport:
     return _hypotheses(problem, _problem_state(problem))
 
 
-def _solve(problem: HenselProblem, state: _ProblemState,
-           step: Callable[[FieldElement], FieldElement]) -> RootCertificate:
-    """Iterate x <- x + step(x) * (z - f(x)) from x0 until the residual
-    vanishes modulo q^target_prec, then certify |f'(root)| = |f'(x0)|."""
-    f, z, target = problem.f, problem.z, problem.target_prec
+def _as_exact(x: FieldElement, prec: int) -> FieldElement:
+    """x taken as an exact point known modulo q^prec: its unit padded
+    with zero digits (or truncated)."""
+    if prec <= x.abs_precision:
+        return x.truncate(prec)
+    if x.is_zero_to_precision:
+        return FieldElement.zero_to_precision(x.descriptor, prec)
+    return FieldElement(x.descriptor, x.valuation, x.unit, prec)
+
+
+def _solve(problem: HenselProblem, state: _ProblemState, newton: bool,
+           schedule: bool = True) -> RootCertificate:
+    """Iterate x <- x + a^(-1) (z - f(x)) from x0, with a = f'(x)
+    (Newton) or a = f'(x0) (the frozen-slope map), until the residual
+    vanishes modulo q^target_prec, then certify |f'(root)| = |f'(x0)|.
+
+    Newton runs on a precision schedule.  A step from a residual of
+    valuation w certifies the next residual to valuation
+    B(w) = 2w + e_m2 - 2e_fp, so it needs the residual only modulo
+    q^(B(w) + 1) and f'(x) only to that residual's relative precision:
+    step i evaluates at about 2^i digits.  Three invariants keep every
+    answer the full-precision loop's:
+
+    - The precision is planned from the measured valuation.  A residual
+      whose digits cannot carry a step from its measured valuation is
+      evaluated again at the digits it needs; one that is zero to the
+      planned precision, or that eval certifies below it, is evaluated
+      at the working precision.  So b_(l+1) <= b_l^2 holds.
+    - A step whose bound reaches the target runs at the working
+      precision, and so does the residual that ends the loop.  Every
+      step does when v(f'(x0)) > 0, when f(x0) or f'(x0) is certified
+      below the working precision, and for the frozen-slope map, which
+      certifies no bound.
+    - An iterate computed below the working precision is an exact point
+      (its unit padded with zero digits) at the precision the
+      full-precision step would give it, never above the previous
+      iterate's.  That step assumes eval certifies every digit it is
+      asked for, as it did at x0; should a later step at the working
+      precision, or the residual of a root computed below it, show
+      otherwise, the solve restarts without the schedule.
+
+    The first step reuses f(x0) and f'(x0) from the problem state."""
+    f, z, target, prec = problem.f, problem.z, problem.target_prec, state.prec
     q = f.descriptor.q
     e_fp = state.fp0.valuation
-    x = problem.x0
+    scheduled = (schedule and newton and e_fp <= 0
+                 and state.d0.abs_precision == state.fp0.abs_precision == prec)
+
+    def bound(w: Valuation) -> Valuation:
+        """B(w), the certified valuation of the residual after a Newton
+        step from one of valuation w."""
+        return state.e_m2 + w + w - 2 * e_fp
+
+    def carry(w: Valuation) -> int:
+        """Digits of a residual of valuation w that carry a step: all of
+        them for a step that can reach the target."""
+        b = bound(w) + 1
+        return prec if not scheduled or b >= target else min(prec, b)
+
+    def residual(x: FieldElement, t: int) -> FieldElement:
+        """z - f(x) modulo q^t; with the full-precision loop's checks at
+        the working precision and when x is known to fewer digits than
+        the target."""
+        if t == prec or x.abs_precision < target:
+            fx = _eval_at_least(f, x, prec, target)
+        else:
+            fx = f.eval(x, t)
+        return z.truncate(min(z.abs_precision, fx.abs_precision)) - fx
+
+    def slope(x: FieldElement, r: FieldElement) -> FieldElement:
+        """f'(x), on the schedule to the relative precision of r."""
+        if scheduled:
+            t = min(prec, r.abs_precision - r.valuation + e_fp)
+            fpx = state.fprime.eval(x, t)
+            if not fpx.is_zero_to_precision and fpx.abs_precision == t:
+                return fpx
+        fpx = _eval_at_least(state.fprime, x, prec, 1)
+        if fpx.is_zero_to_precision:
+            raise DerivativeIndistinguishableFromZero(
+                "derivative lost during iteration")
+        return fpx
+
+    x, r, t = problem.x0, state.d0, prec
+    if r.abs_precision < target:
+        raise PrecisionExhausted(
+            f"cannot certify the value even modulo q^{target}")
+    inv0 = state.fp0.inverse()
+    lifted = reduced = False
     trace: List[Magnitude] = []
-    while True:
-        fx = _eval_at_least(f, x, state.prec, target)
-        r = z.truncate(min(z.abs_precision, fx.abs_precision)) - fx
-        if r.valuation_lower_bound >= target:
-            break
-        trace.append(Magnitude(q, state.e_m2 + r.valuation - 2 * e_fp))
-        x = x + step(x) * r
+    while r.valuation_lower_bound < target:
+        w = r.valuation
+        trace.append(Magnitude(q, state.e_m2 + w - 2 * e_fp))
+        a = inv0 if x is problem.x0 or not newton else slope(x, r).inverse()
+        step = x + a * r
+        reduced = t < prec
+        if reduced:
+            # the precision a step from r and f'(x) known to min(prec,
+            # x.abs_precision) digits gives
+            k = min(prec, x.abs_precision)
+            step = _as_exact(step, min(x.abs_precision, w - 2 * e_fp + k, k - e_fp))
+            lifted = True
+        elif lifted and step.abs_precision < x.abs_precision:
+            return _solve(problem, state, newton, schedule=False)
+        x = step
+        t = carry(bound(w))
+        r = residual(x, t)
+        if t < prec:
+            # zero to the planned precision (valuation INFINITY), certified
+            # below it, or the residual that ends the loop
+            if r.abs_precision < t or r.valuation >= target:
+                t = prec
+                r = residual(x, t)
+            elif carry(r.valuation) > t:
+                t = carry(r.valuation)
+                r = residual(x, t)
         if len(trace) > 4 * target + 8:
             raise PrecisionExhausted("iteration failed to converge")
+    if reduced and r.valuation_lower_bound - e_fp < x.abs_precision:
+        # a root computed below full precision whose residual does not
+        # certify every digit it claims
+        return _solve(problem, state, newton, schedule=False)
 
-    fpr = _eval_at_least(state.fprime, x, state.prec, e_fp + 1)
+    # only the valuation of f'(root) is read
+    fpr = _eval_at_least(state.fprime, x, max(e_fp + 1, 1), e_fp + 1)
     if fpr.is_zero_to_precision or fpr.valuation != e_fp:
         raise PrecisionExhausted("derivative magnitude not preserved at the root")
     return RootCertificate(
@@ -167,15 +271,7 @@ def hensel_solve(problem: HenselProblem) -> RootCertificate:
             f"h_close={report.h_close} h_quadratic={report.h_quadratic} "
             f"h_single={report.h_single}")
     _require_target(problem, state)
-
-    def newton(x: FieldElement) -> FieldElement:
-        fpx = _eval_at_least(state.fprime, x, state.prec, 1)
-        if fpx.is_zero_to_precision:
-            raise DerivativeIndistinguishableFromZero(
-                "derivative lost during iteration")
-        return fpx.inverse()
-
-    return _solve(problem, state, newton)
+    return _solve(problem, state, newton=True)
 
 
 def fixed_point_solve(problem: HenselProblem) -> RootCertificate:
@@ -189,8 +285,7 @@ def fixed_point_solve(problem: HenselProblem) -> RootCertificate:
     if not (e_t + state.e_m2 > e_fp):
         raise ContractionFails(
             "t * M2 >= |f'(x0)|: the auxiliary map is not a contraction")
-    alpha_inv = state.fp0.inverse()
-    return _solve(problem, state, lambda x: alpha_inv)
+    return _solve(problem, state, newton=False)
 
 
 def strassmann_bound(f: TruncatedSeries, m: int, from_index: int = 0) -> StrassmannReport:

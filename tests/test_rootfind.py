@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+
+import solve_model as model
 
 from dvfield.errors import (AllCoefficientsIndistinguishableFromZero,
                             ContractionFails,
@@ -12,8 +15,8 @@ from dvfield.localfield import FieldElement, Qp, laurent_field
 from dvfield.rootfind import (HenselProblem, check_hypotheses,
                               enumerate_roots, fixed_point_solve,
                               hensel_solve, strassmann_bound)
-from dvfield.series import TruncatedSeries, polynomial
-from dvfield.special import exp_series
+from dvfield.series import TailProfile, TruncatedSeries, polynomial
+from dvfield.special import exp_series, log_solve
 from dvfield.textio import parse_element
 from dvfield.valuation import INFINITY
 
@@ -300,3 +303,86 @@ class TestPrecisionRefusals:
             with pytest.raises(PrecisionExhausted,
                                match="cannot certify the value even modulo q\\^11"):
                 solve(prob)
+
+
+def counted_evals(monkeypatch):
+    """Every (series, point, target) that TruncatedSeries.eval is asked for."""
+    calls = []
+    ev = TruncatedSeries.eval
+
+    def counted(self, x, target):
+        calls.append((self, x, target))
+        return ev(self, x, target)
+    monkeypatch.setattr(TruncatedSeries, "eval", counted)
+    return calls
+
+
+class TestPrecisionSchedule:
+    """Newton evaluates at about 2^i digits on step i: only the residual
+    that feeds the last step and the one that ends the loop are asked for
+    the full target, where the full-precision loop asked for f and f' at
+    every iterate."""
+
+    def test_log_solve_makes_two_full_target_evals(self, monkeypatch):
+        calls = counted_evals(monkeypatch)
+        x = log_solve(FieldElement.from_rational(Q3, 10, 7, 300), 300)
+        full = [c for c in calls if c[2] >= 300 and not c[1].is_zero_to_precision]
+        assert len(full) == 2          # 18 before the schedule
+        assert x.abs_precision == 300
+
+    @pytest.mark.parametrize("prec,target", [(256, 256), (68, 64)])
+    def test_hensel_makes_two_full_target_evals(self, monkeypatch, prec, target):
+        prob = sqrt_problem(Q7, 2, 3, prec=prec, target=target)
+        calls = counted_evals(monkeypatch)
+        cert = hensel_solve(prob)
+        full = [c for c in calls if c[2] >= prec and c[1] is not prob.x0]
+        assert len(full) <= 2
+        monkeypatch.undo()
+        ref = model.hensel_solve(prob)
+        # digits from the residual's valuation on are not certified
+        assert pin(cert)[2:] == pin(ref)[2:]
+        assert (cert.root - ref.root).valuation_lower_bound >= ref.residual_prec
+
+    def test_no_schedule_when_the_derivative_is_not_a_unit(self, monkeypatch):
+        """v(f'(x0)) = 1 (sqrt(17) over Q_2): the iteration loses a digit
+        per step, so every value is asked for at the full-precision
+        loop's precision."""
+        f = polynomial(Q2, [-17, 0, 1], 40)
+        prob = HenselProblem(f, el(Q2, 1, 1, 40), zero(Q2, 40), 0, 30)
+        calls = counted_evals(monkeypatch)
+        cert = hensel_solve(prob)
+        values = [(x, t) for g, x, t in calls if g is f]
+        assert len(values) > 2
+        assert all(t == min(40, x.abs_precision) for x, t in values)
+        monkeypatch.undo()
+        assert pin(cert) == pin(model.hensel_solve(prob))
+
+    def _two_thirds_problem(self):
+        return TestPrecisionRefusals()._two_thirds_problem(10)
+
+    def _short_tail_problem(self):
+        # X^2 - 2 over Q_7 plus sum_{j>=3} 7^j X^j, whose tail coefficients
+        # are known only modulo 7^10: eval at a unit certifies 10 digits
+        # when asked for the working precision 12
+        def factory(j):
+            if j >= 10:
+                return FieldElement.zero_to_precision(Q7, 10)
+            return FieldElement(Q7, j, 1, 10)
+        f = polynomial(Q7, [-2, 0, 1], 12)
+        f = TruncatedSeries(Q7, f.coeffs, TailProfile(3, Fraction(1), Fraction(0)), factory)
+        return HenselProblem(f, el(Q7, 3), zero(Q7), 0, 10)
+
+    @pytest.mark.parametrize("make", ("_two_thirds_problem", "_short_tail_problem"))
+    @pytest.mark.parametrize("solve", ("hensel_solve", "fixed_point_solve"))
+    def test_short_certified_evals_end(self, monkeypatch, make, solve):
+        """Where eval certifies less than it is asked for, the loop takes
+        what eval gives and ends with the full-precision loop's
+        certificate, in a bounded number of evals per step."""
+        prob = getattr(self, make)()
+        calls = counted_evals(monkeypatch)
+        cert = globals()[solve](prob)
+        steps = len(cert.b_trace)
+        per_step = math.ceil(math.log2(prob.f.working_precision)) + 2
+        assert len(calls) <= (steps + 1) * per_step
+        monkeypatch.undo()
+        assert pin(cert) == pin(getattr(model, solve)(prob))
