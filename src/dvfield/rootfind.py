@@ -155,24 +155,24 @@ def _solve(problem: HenselProblem, state: _ProblemState, newton: bool,
       planned precision, or that eval certifies below it, is evaluated
       at the working precision.  So b_(l+1) <= b_l^2 holds.
     - A step whose bound reaches the target runs at the working
-      precision, and so does the residual that ends the loop.  Every
-      step does when v(f'(x0)) > 0, when f(x0) or f'(x0) is certified
-      below the working precision, and for the frozen-slope map, which
-      certifies no bound.
+      precision.  Every step does when v(f'(x0)) > 0, and for the
+      frozen-slope map, which certifies no bound.
     - An iterate computed below the working precision is an exact point
       (its unit padded with zero digits) at the precision the
       full-precision step would give it, never above the previous
-      iterate's.  That step assumes eval certifies every digit it is
-      asked for, as it did at x0; should a later step at the working
-      precision, or the residual of a root computed below it, show
-      otherwise, the solve restarts without the schedule.
+      iterate's.  Its digits above that differ from the full-precision
+      loop's, so the solve restarts without the schedule where they
+      could show: when a later step at the working precision cuts the
+      iterate (eval certifies fewer digits there than at x0), when the
+      loop ends right after a step below the working precision (the
+      full-precision loop may take one more step), and when the root
+      claims digits that its residual does not certify.
 
     The first step reuses f(x0) and f'(x0) from the problem state."""
     f, z, target, prec = problem.f, problem.z, problem.target_prec, state.prec
     q = f.descriptor.q
     e_fp = state.fp0.valuation
-    scheduled = (schedule and newton and e_fp <= 0
-                 and state.d0.abs_precision == state.fp0.abs_precision == prec)
+    scheduled = schedule and newton and e_fp <= 0
 
     def bound(w: Valuation) -> Valuation:
         """B(w), the certified valuation of the residual after a Newton
@@ -233,19 +233,17 @@ def _solve(problem: HenselProblem, state: _ProblemState, newton: bool,
         t = carry(bound(w))
         r = residual(x, t)
         if t < prec:
-            # zero to the planned precision (valuation INFINITY), certified
-            # below it, or the residual that ends the loop
-            if r.abs_precision < t or r.valuation >= target:
+            if r.abs_precision < t or r.is_zero_to_precision:
                 t = prec
                 r = residual(x, t)
-            elif carry(r.valuation) > t:
+            elif r.valuation < target and carry(r.valuation) > t:
                 t = carry(r.valuation)
                 r = residual(x, t)
         if len(trace) > 4 * target + 8:
             raise PrecisionExhausted("iteration failed to converge")
-    if reduced and r.valuation_lower_bound - e_fp < x.abs_precision:
-        # a root computed below full precision whose residual does not
-        # certify every digit it claims
+    if reduced or (lifted and r.valuation_lower_bound - e_fp < x.abs_precision):
+        # converged faster than planned, or a root reached through lifted
+        # iterates that claims digits its residual does not certify
         return _solve(problem, state, newton, schedule=False)
 
     # only the valuation of f'(root) is read

@@ -330,18 +330,36 @@ class TestPrecisionSchedule:
         assert len(full) == 2          # 18 before the schedule
         assert x.abs_precision == 300
 
-    @pytest.mark.parametrize("prec,target", [(256, 256), (68, 64)])
-    def test_hensel_makes_two_full_target_evals(self, monkeypatch, prec, target):
-        prob = sqrt_problem(Q7, 2, 3, prec=prec, target=target)
+    def test_hensel_makes_two_full_target_evals(self, monkeypatch):
+        prob = sqrt_problem(Q7, 2, 3, prec=256, target=256)
         calls = counted_evals(monkeypatch)
         cert = hensel_solve(prob)
-        full = [c for c in calls if c[2] >= prec and c[1] is not prob.x0]
+        full = [c for c in calls if c[2] >= 256 and c[1] is not prob.x0]
         assert len(full) <= 2
         monkeypatch.undo()
-        ref = model.hensel_solve(prob)
-        # digits from the residual's valuation on are not certified
-        assert pin(cert)[2:] == pin(ref)[2:]
-        assert (cert.root - ref.root).valuation_lower_bound >= ref.residual_prec
+        assert pin(cert) == pin(model.hensel_solve(prob))
+
+    def test_uncertified_digits_are_the_full_precision_loops(self):
+        """Target 64 below the working precision 68: the residual that
+        ends the loop certifies fewer digits than the root claims, so
+        the solve restarts without the schedule and the digits above
+        the residual are the full-precision loop's."""
+        prob = sqrt_problem(Q7, 2, 3, prec=68, target=64)
+        cert = hensel_solve(prob)
+        assert cert.residual_prec < cert.root.abs_precision
+        assert pin(cert) == pin(model.hensel_solve(prob))
+
+    def test_faster_convergence_than_planned_restarts(self):
+        """From 0 a step below the working precision lands on the exact
+        root 222 of (X - 222)(X - 124)(X - 32) over Q_3, where the
+        full-precision loop takes one more step and ends at residual 18:
+        the solve restarts and returns that certificate."""
+        f = polynomial(Q3, [-222 * 124 * 32, 222 * 124 + 222 * 32 + 124 * 32,
+                            -(222 + 124 + 32), 1], 20)
+        prob = HenselProblem(f, zero(Q3, 20), zero(Q3, 20), 0, 16)
+        cert = hensel_solve(prob)
+        assert cert.residual_prec == 18
+        assert pin(cert) == pin(model.hensel_solve(prob))
 
     def test_no_schedule_when_the_derivative_is_not_a_unit(self, monkeypatch):
         """v(f'(x0)) = 1 (sqrt(17) over Q_2): the iteration loses a digit
