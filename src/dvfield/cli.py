@@ -105,7 +105,7 @@ def _cmd_hensel(args) -> int:
     problem = HenselProblem(f, x0, z, args.ball, args.precision)
     solver = fixed_point_solve if args.fixed_point else hensel_solve
     cert = solver(problem)
-    root = cert.root.truncate(min(cert.root.abs_precision, args.precision))
+    root = cert.root.truncate(args.precision)
     payload = {
         "root": _element_json(root),
         "residual_prec": cert.residual_prec,
@@ -121,7 +121,7 @@ def _cmd_roots(args) -> int:
     f = parse_series(args.f, desc, args.precision + 4)
     certs = enumerate_roots(f, args.ball, scan_depth=args.depth,
                             target_prec=args.precision)
-    roots = [c.root.truncate(min(c.root.abs_precision, args.precision)) for c in certs]
+    roots = [c.root.truncate(args.precision) for c in certs]
     payload = {"count": len(roots), "roots": [_element_json(r) for r in roots]}
     text = "\n".join(render_element(r) for r in roots) if roots else "(no roots)"
     return _emit(args, text, payload)

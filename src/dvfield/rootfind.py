@@ -103,10 +103,19 @@ def _eval_at_least(f: TruncatedSeries, x: FieldElement, prec: int,
 
 
 def _require_target(problem: HenselProblem, state: _ProblemState) -> None:
-    if problem.target_prec > state.prec:
+    """The residual must reach target + max(e_fp, 0) for the root to be
+    proven to the target: PrecisionExhausted when that is past the
+    working precision or past the digits of z - f(x0)."""
+    e_fp = state.fp0.valuation
+    goal = problem.target_prec + max(e_fp, 0)
+    if goal > state.prec:
+        less = f" less v(f'(x0)) = {e_fp}" if e_fp > 0 else ""
         raise PrecisionExhausted(
             f"target precision {problem.target_prec} exceeds working "
-            f"precision {state.prec}")
+            f"precision {state.prec}{less}")
+    if state.d0.abs_precision < goal:
+        raise PrecisionExhausted(
+            f"cannot certify the value even modulo q^{goal}")
 
 
 def _hypotheses(problem: HenselProblem, state: _ProblemState) -> HypothesisReport:
@@ -127,52 +136,42 @@ def check_hypotheses(problem: HenselProblem) -> HypothesisReport:
 
 
 def _as_exact(x: FieldElement, prec: int) -> FieldElement:
-    """x taken as an exact point known modulo q^prec: its unit padded
-    with zero digits (or truncated)."""
+    """x taken as an exact point known modulo q^prec at least: its unit
+    padded with zero digits."""
     if prec <= x.abs_precision:
-        return x.truncate(prec)
+        return x
     if x.is_zero_to_precision:
         return FieldElement.zero_to_precision(x.descriptor, prec)
     return FieldElement(x.descriptor, x.valuation, x.unit, prec)
 
 
 def _solve(problem: HenselProblem, state: _ProblemState, newton: bool,
-           schedule: bool = True) -> RootCertificate:
+           scheduled: bool) -> RootCertificate:
     """Iterate x <- x + a^(-1) (z - f(x)) from x0, with a = f'(x)
     (Newton) or a = f'(x0) (the frozen-slope map), until the residual
-    vanishes modulo q^target_prec, then certify |f'(root)| = |f'(x0)|.
+    vanishes modulo q^(target + max(e_fp, 0)); certify |f'(root)| =
+    |f'(x0)| and return the root to the residual_prec - e_fp digits that
+    |x - root| = |z - f(x)| / |f'(x)| proves.
 
-    Newton runs on a precision schedule.  A step from a residual of
+    Every iterate is an exact point: one known to fewer digits than the
+    working precision is padded with zero digits, so only the residual
+    bounds how far it is from the root.
+
+    A scheduled (Newton, v(f'(x0)) <= 0) step from a residual of
     valuation w certifies the next residual to valuation
-    B(w) = 2w + e_m2 - 2e_fp, so it needs the residual only modulo
-    q^(B(w) + 1) and f'(x) only to that residual's relative precision:
-    step i evaluates at about 2^i digits.  Three invariants keep every
-    answer the full-precision loop's:
-
-    - The precision is planned from the measured valuation.  A residual
-      whose digits cannot carry a step from its measured valuation is
-      evaluated again at the digits it needs; one that is zero to the
-      planned precision, or that eval certifies below it, is evaluated
-      at the working precision.  So b_(l+1) <= b_l^2 holds.
-    - A step whose bound reaches the target runs at the working
-      precision.  Every step does when v(f'(x0)) > 0, and for the
-      frozen-slope map, which certifies no bound.
-    - An iterate computed below the working precision is an exact point
-      (its unit padded with zero digits) at the precision the
-      full-precision step would give it, never above the previous
-      iterate's.  Its digits above that differ from the full-precision
-      loop's, so the solve restarts without the schedule where they
-      could show: when a later step at the working precision cuts the
-      iterate (eval certifies fewer digits there than at x0), when the
-      loop ends right after a step below the working precision (the
-      full-precision loop may take one more step), and when the root
-      claims digits that its residual does not certify.
+    B(w) = 2w + e_m2 - 2e_fp, so it needs that residual only modulo
+    q^(B(w) + 1) and f'(x) only to the residual's relative precision:
+    step i evaluates at about 2^i digits.  The plan follows the measured
+    valuation: a residual whose digits cannot carry a step from it is
+    evaluated again at the digits it needs, and one that is zero to the
+    plan, or certified below it, at the working precision.  A step whose
+    bound reaches the goal runs at the working precision.
 
     The first step reuses f(x0) and f'(x0) from the problem state."""
-    f, z, target, prec = problem.f, problem.z, problem.target_prec, state.prec
+    f, z, prec = problem.f, problem.z, state.prec
     q = f.descriptor.q
     e_fp = state.fp0.valuation
-    scheduled = schedule and newton and e_fp <= 0
+    goal = problem.target_prec + max(e_fp, 0)
 
     def bound(w: Valuation) -> Valuation:
         """B(w), the certified valuation of the residual after a Newton
@@ -181,18 +180,14 @@ def _solve(problem: HenselProblem, state: _ProblemState, newton: bool,
 
     def carry(w: Valuation) -> int:
         """Digits of a residual of valuation w that carry a step: all of
-        them for a step that can reach the target."""
+        them for a step that can reach the goal."""
         b = bound(w) + 1
-        return prec if not scheduled or b >= target else min(prec, b)
+        return prec if not scheduled or b >= goal else min(prec, b)
 
     def residual(x: FieldElement, t: int) -> FieldElement:
-        """z - f(x) modulo q^t; with the full-precision loop's checks at
-        the working precision and when x is known to fewer digits than
-        the target."""
-        if t == prec or x.abs_precision < target:
-            fx = _eval_at_least(f, x, prec, target)
-        else:
-            fx = f.eval(x, t)
+        """z - f(x) modulo q^t; refused at the working precision when
+        eval certifies less than the goal there."""
+        fx = _eval_at_least(f, x, prec, goal) if t == prec else f.eval(x, t)
         return z.truncate(min(z.abs_precision, fx.abs_precision)) - fx
 
     def slope(x: FieldElement, r: FieldElement) -> FieldElement:
@@ -208,50 +203,33 @@ def _solve(problem: HenselProblem, state: _ProblemState, newton: bool,
                 "derivative lost during iteration")
         return fpx
 
-    x, r, t = problem.x0, state.d0, prec
-    if r.abs_precision < target:
-        raise PrecisionExhausted(
-            f"cannot certify the value even modulo q^{target}")
+    x, r = problem.x0, state.d0
     inv0 = state.fp0.inverse()
-    lifted = reduced = False
     trace: List[Magnitude] = []
-    while r.valuation_lower_bound < target:
+    while r.valuation_lower_bound < goal:
         w = r.valuation
         trace.append(Magnitude(q, state.e_m2 + w - 2 * e_fp))
         a = inv0 if x is problem.x0 or not newton else slope(x, r).inverse()
-        step = x + a * r
-        reduced = t < prec
-        if reduced:
-            # the precision a step from r and f'(x) known to min(prec,
-            # x.abs_precision) digits gives
-            k = min(prec, x.abs_precision)
-            step = _as_exact(step, min(x.abs_precision, w - 2 * e_fp + k, k - e_fp))
-            lifted = True
-        elif lifted and step.abs_precision < x.abs_precision:
-            return _solve(problem, state, newton, schedule=False)
-        x = step
+        x = _as_exact(x + a * r, prec)
         t = carry(bound(w))
         r = residual(x, t)
         if t < prec:
             if r.abs_precision < t or r.is_zero_to_precision:
                 t = prec
                 r = residual(x, t)
-            elif r.valuation < target and carry(r.valuation) > t:
+            elif r.valuation < goal and carry(r.valuation) > t:
                 t = carry(r.valuation)
                 r = residual(x, t)
-        if len(trace) > 4 * target + 8:
+        if len(trace) > 4 * goal + 8:
             raise PrecisionExhausted("iteration failed to converge")
-    if reduced or (lifted and r.valuation_lower_bound - e_fp < x.abs_precision):
-        # converged faster than planned, or a root reached through lifted
-        # iterates that claims digits its residual does not certify
-        return _solve(problem, state, newton, schedule=False)
 
     # only the valuation of f'(root) is read
     fpr = _eval_at_least(state.fprime, x, max(e_fp + 1, 1), e_fp + 1)
     if fpr.is_zero_to_precision or fpr.valuation != e_fp:
         raise PrecisionExhausted("derivative magnitude not preserved at the root")
+    proven = r.valuation_lower_bound - e_fp
     return RootCertificate(
-        root=x,
+        root=x.truncate(min(x.abs_precision, proven)),
         residual_prec=r.valuation_lower_bound,
         uniqueness_exponent=state.d0.valuation_lower_bound - e_fp,
         b_trace=tuple(trace),
@@ -260,8 +238,9 @@ def _solve(problem: HenselProblem, state: _ProblemState, newton: bool,
 
 
 def hensel_solve(problem: HenselProblem) -> RootCertificate:
-    """Iterate x <- x + f'(x)^(-1) (z - f(x)) until the residual vanishes
-    modulo q^target_prec; quadratic convergence certified by the b trace."""
+    """Iterate x <- x + f'(x)^(-1) (z - f(x)) until the residual proves
+    the root modulo q^target_prec; quadratic convergence certified by the
+    b trace."""
     state = _problem_state(problem)
     report = _hypotheses(problem, state)
     if not report.sufficient:
@@ -269,7 +248,12 @@ def hensel_solve(problem: HenselProblem) -> RootCertificate:
             f"h_close={report.h_close} h_quadratic={report.h_quadratic} "
             f"h_single={report.h_single}")
     _require_target(problem, state)
-    return _solve(problem, state, newton=True)
+    if state.fp0.valuation <= 0:
+        try:
+            return _solve(problem, state, newton=True, scheduled=True)
+        except PrecisionExhausted:
+            pass    # a scheduled iterate can land where eval certifies less
+    return _solve(problem, state, newton=True, scheduled=False)
 
 
 def fixed_point_solve(problem: HenselProblem) -> RootCertificate:
@@ -283,7 +267,7 @@ def fixed_point_solve(problem: HenselProblem) -> RootCertificate:
     if not (e_t + state.e_m2 > e_fp):
         raise ContractionFails(
             "t * M2 >= |f'(x0)|: the auxiliary map is not a contraction")
-    return _solve(problem, state, newton=False)
+    return _solve(problem, state, newton=False, scheduled=False)
 
 
 def strassmann_bound(f: TruncatedSeries, m: int, from_index: int = 0) -> StrassmannReport:
@@ -332,19 +316,20 @@ def enumerate_roots(f: TruncatedSeries, m: int, scan_depth: int = 4,
     f.require_radius(m)
     if target_prec is None:
         target_prec = f.working_precision
-    q = f.descriptor.q
     report = strassmann_bound(f, m)
-    roots: List[FieldElement] = []
+    found: List[Tuple[TruncatedSeries, RootCertificate]] = []
+    zero = FieldElement.zero_to_precision(f.descriptor, f.working_precision)
     if report.bound_N > 0:
-        start = FieldElement.zero_to_precision(f.descriptor, f.working_precision)
-        _scan_class(_Scanned(f, m), m, start, m, m + scan_depth, target_prec, roots)
+        _scan_class(_Scanned(f, m), m, zero, m, m + scan_depth, target_prec, found)
 
     certs: List[RootCertificate] = []
-    zero = FieldElement.zero_to_precision(f.descriptor, f.working_precision)
-    for x in roots:
-        if any(x.agrees_with(c.root, target_prec) for c in certs):
+    for g, cert in found:
+        if any(cert.root.agrees_with(c.root, target_prec) for c in certs):
             continue
-        cert = hensel_solve(HenselProblem(f, x, zero, m, target_prec))
+        if g is not f:
+            # a certificate on a deflated series states |g'(root)|, not |f'(root)|
+            start = _as_exact(cert.root, f.working_precision)
+            cert = hensel_solve(HenselProblem(f, start, zero, m, target_prec))
         certs.append(cert)
     certs.sort(key=lambda c: (c.root.valuation_lower_bound, c.root.digits))
     return certs
@@ -373,8 +358,10 @@ class _Scanned:
 
 
 def _scan_class(s: _Scanned, m: int, center: FieldElement, level: int,
-                max_level: int, target_prec: int, out: List[FieldElement]) -> None:
-    """Depth-first scan of the class {x = center mod q^level, v(x) >= m}."""
+                max_level: int, target_prec: int,
+                out: List[Tuple[TruncatedSeries, RootCertificate]]) -> None:
+    """Depth-first scan of the class {x = center mod q^level, v(x) >= m},
+    collecting each root's certificate with the series it was solved on."""
     f = s.f
     q = f.descriptor.q
     prec = min(f.working_precision, center.abs_precision)
@@ -393,9 +380,9 @@ def _scan_class(s: _Scanned, m: int, center: FieldElement, level: int,
             zero = FieldElement.zero_to_precision(f.descriptor,
                                                   f.working_precision)
             cert = hensel_solve(HenselProblem(f, center, zero, m, target_prec))
-            out.append(cert.root)
+            out.append((f, cert))
             # the root is unique in this class; strip it and rescan for others
-            g0 = f.deflate(cert.root, m)
+            g0 = f.deflate(_as_exact(cert.root, f.working_precision), m)
             try:
                 strassmann_bound(g0, m)
             except AllCoefficientsIndistinguishableFromZero:

@@ -120,4 +120,4 @@ def log_solve(z: FieldElement, target_prec: int) -> FieldElement:
     f = exp_series(z.descriptor, target_prec)
     x0 = FieldElement.zero_to_precision(z.descriptor, z.abs_precision)
     cert = hensel_solve(HenselProblem(f, x0, z, e_min(p), target_prec))
-    return cert.root.truncate(min(cert.root.abs_precision, target_prec))
+    return cert.root.truncate(target_prec)

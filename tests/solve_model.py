@@ -1,13 +1,14 @@
 """Reference model of the solve loop, as it was before the precision
 schedule: `_solve`, `hensel_solve` and `fixed_point_solve` verbatim,
-every step evaluating f and f' at the working precision.  The helpers
-they call (`_problem_state`, `_hypotheses`, `_require_target`,
-`_eval_at_least`) are the library's.
+every step evaluating f and f' at the working precision, and the target
+check they made.  The other helpers they call (`_problem_state`,
+`_hypotheses`, `_eval_at_least`) are the library's.
 
-The library must return the same `abs_precision`, `uniqueness_exponent`
-and `derivative_magnitude`, the same root digits below residual_prec -
-e_fp, and the same refusals; `tests/test_solve_fuzz.py` states the rest
-of the contract.
+This loop returns its iterates with every digit they are known to, also
+above the residual_prec - e_fp its residual proves.  The library keeps
+only those and refuses only where this loop refuses or where target +
+e_fp exceeds the working precision; `tests/test_solve_fuzz.py` states
+the contract.
 """
 
 from __future__ import annotations
@@ -19,9 +20,15 @@ from dvfield.errors import (ContractionFails,
                             HypothesesFail, PrecisionExhausted)
 from dvfield.localfield import FieldElement
 from dvfield.rootfind import (HenselProblem, RootCertificate, _ProblemState,
-                              _eval_at_least, _hypotheses, _problem_state,
-                              _require_target)
+                              _eval_at_least, _hypotheses, _problem_state)
 from dvfield.valuation import Magnitude
+
+
+def _require_target(problem: HenselProblem, state: _ProblemState) -> None:
+    if problem.target_prec > state.prec:
+        raise PrecisionExhausted(
+            f"target precision {problem.target_prec} exceeds working "
+            f"precision {state.prec}")
 
 
 def _solve(problem: HenselProblem, state: _ProblemState,

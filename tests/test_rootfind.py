@@ -6,6 +6,7 @@ import pytest
 
 import solve_model as model
 
+from dvfield import rootfind
 from dvfield.errors import (AllCoefficientsIndistinguishableFromZero,
                             ContractionFails,
                             DerivativeIndistinguishableFromZero, DomainError,
@@ -219,8 +220,9 @@ def test_scan_builds_each_derivative_once(monkeypatch):
     """The residue scan builds f' once per series it scans, and only for a
     series with a class it cannot rule out: X^3 - X and its first
     deflation x^2 - 1 here, while x + 1 and x - 1 are ruled out at their
-    first class.  Each of the 3 roots costs 2 more in hensel_solve (found
-    by the scan, then solved again by enumerate_roots): 8 in all."""
+    first class.  Each hensel_solve builds one more: 0, found on X^3 - X,
+    costs one solve, and 1 and -1, found on x^2 - 1, cost one there and
+    one more on X^3 - X: 7 in all."""
     calls = []
     derivative = TruncatedSeries.derivative
 
@@ -230,7 +232,7 @@ def test_scan_builds_each_derivative_once(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "derivative", counted)
     certs = enumerate_roots(polynomial(Q3, [0, -1, 0, 1], 12), 0)
     assert len(certs) == 3
-    assert len(calls) == 8
+    assert len(calls) == 7
 
 
 def pin(cert):
@@ -339,27 +341,32 @@ class TestPrecisionSchedule:
         monkeypatch.undo()
         assert pin(cert) == pin(model.hensel_solve(prob))
 
-    def test_uncertified_digits_are_the_full_precision_loops(self):
+    def test_root_below_the_working_precision_keeps_the_residuals_digits(self):
         """Target 64 below the working precision 68: the residual that
-        ends the loop certifies fewer digits than the root claims, so
-        the solve restarts without the schedule and the digits above
-        the residual are the full-precision loop's."""
+        ends the loop proves 64 digits, so the root keeps 64, where the
+        full-precision loop returns 68."""
         prob = sqrt_problem(Q7, 2, 3, prec=68, target=64)
         cert = hensel_solve(prob)
-        assert cert.residual_prec < cert.root.abs_precision
-        assert pin(cert) == pin(model.hensel_solve(prob))
+        assert cert.root.abs_precision == cert.residual_prec == 64
+        assert cert.root.reduce_mod(64) in root_residues([-2, 0, 1], 7, 64)
+        ref = model.hensel_solve(prob)
+        assert ref.root.abs_precision == 68
+        assert cert.root.agrees_with(ref.root, 64)
 
-    def test_faster_convergence_than_planned_restarts(self):
+    def test_faster_convergence_than_planned_ends_early(self):
         """From 0 a step below the working precision lands on the exact
-        root 222 of (X - 222)(X - 124)(X - 32) over Q_3, where the
-        full-precision loop takes one more step and ends at residual 18:
-        the solve restarts and returns that certificate."""
-        f = polynomial(Q3, [-222 * 124 * 32, 222 * 124 + 222 * 32 + 124 * 32,
-                            -(222 + 124 + 32), 1], 20)
-        prob = HenselProblem(f, zero(Q3, 20), zero(Q3, 20), 0, 16)
+        root 222 of (X - 222)(X - 124)(X - 32) over Q_3: the residual
+        vanishes to the working precision 20 and the loop ends there,
+        one step before the full-precision loop, which ends at residual
+        18 with two wrong digits above it."""
+        coeffs = [-222 * 124 * 32, 222 * 124 + 222 * 32 + 124 * 32, -(222 + 124 + 32), 1]
+        prob = HenselProblem(polynomial(Q3, coeffs, 20), zero(Q3, 20), zero(Q3, 20), 0, 16)
         cert = hensel_solve(prob)
-        assert cert.residual_prec == 18
-        assert pin(cert) == pin(model.hensel_solve(prob))
+        assert [b.exponent for b in cert.b_trace] == [1, 3]
+        assert cert.residual_prec == cert.root.abs_precision == 20
+        assert cert.root.reduce_mod(20) == 222
+        ref = model.hensel_solve(prob)
+        assert ref.residual_prec == 18 and ref.root.reduce_mod(20) != 222
 
     def test_no_schedule_when_the_derivative_is_not_a_unit(self, monkeypatch):
         """v(f'(x0)) = 1 (sqrt(17) over Q_2): the iteration loses a digit
@@ -373,7 +380,12 @@ class TestPrecisionSchedule:
         assert len(values) > 2
         assert all(t == min(40, x.abs_precision) for x, t in values)
         monkeypatch.undo()
-        assert pin(cert) == pin(model.hensel_solve(prob))
+        ref = model.hensel_solve(prob)
+        assert pin(cert)[3:] == pin(ref)[3:]
+        # the root keeps residual_prec - v(f'(root)) = 33 of the model's 36 digits
+        assert cert.root.abs_precision == cert.residual_prec - 1 == 33
+        assert cert.root.agrees_with(ref.root, 33)
+        assert cert.root.reduce_mod(33) in root_residues([-17, 0, 1], 2, 33)
 
     def _two_thirds_problem(self):
         return TestPrecisionRefusals()._two_thirds_problem(10)
@@ -404,3 +416,126 @@ class TestPrecisionSchedule:
         assert len(calls) <= (steps + 1) * per_step
         monkeypatch.undo()
         assert pin(cert) == pin(getattr(model, solve)(prob))
+
+
+# -- oracle tests: every claimed digit against exhaustive residue search --
+
+def _vp(p, n):
+    v = 0
+    while n and n % p == 0:
+        n //= p
+        v += 1
+    return v if n else math.inf
+
+
+def _ev(coeffs, x):
+    return sum(a * x ** j for j, a in enumerate(coeffs))
+
+
+def root_residues(coeffs, p, k):
+    """Residues modulo p^k of the simple roots in Z_p of the integer
+    polynomial sum coeffs[j] X^j, by exhaustive search.  x mod p^k is one
+    iff e = v(f'(x)) < k and v(f(x)) >= k + e (Hensel both ways), and
+    f = 0 mod p^j at every residue of a root modulo p^j, so the search
+    extends only those, one digit at a time."""
+    deriv = [j * a for j, a in enumerate(coeffs)][1:]
+    level = [0]
+    for j in range(1, k + 1):
+        level = [y for x in level for y in range(x, p ** j, p ** (j - 1))
+                 if _ev(coeffs, y) % p ** j == 0]
+    out = set()
+    for x in level:
+        e = _vp(p, _ev(deriv, x))
+        if e < k and _vp(p, _ev(coeffs, x)) >= k + e:
+            out.add(x)
+    return out
+
+
+# (p, integer coefficients lowest first, working precision, target);
+# every root has v(f'(root)) > 0
+PROVEN_CASES = {
+    "X^2 - 9 over Q_3": (3, [-9, 0, 1], 10, 6),
+    "sqrt(17) over Q_2 at 16": (2, [-17, 0, 1], 18, 16),
+    "sqrt(17) over Q_2 at 18": (2, [-17, 0, 1], 22, 18),
+    "sqrt(17) over Q_2 at 64": (2, [-17, 0, 1], 68, 64),
+    "X^2 - 49 over Q_2": (2, [-49, 0, 1], 12, 8),
+    "X^2 - 81 over Q_2": (2, [-81, 0, 1], 12, 8),
+    "X^2 - 3^2 4 over Q_3": (3, [-36, 0, 1], 10, 6),
+    "X^2 - 3^2 16 over Q_3": (3, [-144, 0, 1], 10, 6),
+    "X^2 - 5^2 4 over Q_5": (5, [-100, 0, 1], 10, 6),
+    "X^2 - 7^2 9 over Q_7": (7, [-441, 0, 1], 10, 6),
+    "roots 1, 10, 2 over Q_3": (3, [-20, 32, -13, 1], 10, 6),
+    "roots 1, 28, 2 over Q_3": (3, [-56, 86, -31, 1], 10, 6),
+    "roots 1, 26, 3 over Q_5": (5, [-78, 107, -30, 1], 10, 6),
+    "roots 2, 52, 4 over Q_5": (5, [-416, 320, -58, 1], 10, 6),
+}
+
+
+class TestProvenDigits:
+    """A root keeps the residual_prec - v(f'(root)) digits its residual
+    proves, and at least the target, when v(f'(root)) > 0."""
+
+    @pytest.mark.parametrize("name", PROVEN_CASES)
+    def test_enumerated_roots_are_right_at_every_digit(self, name):
+        p, coeffs, W, target = PROVEN_CASES[name]
+        certs = enumerate_roots(polynomial(Qp(p), coeffs, W), 0, target_prec=target)
+        assert len(certs) == len(root_residues(coeffs, p, target))
+        for c in certs:
+            k = c.root.abs_precision
+            assert k >= target
+            assert c.root.reduce_mod(k) in root_residues(coeffs, p, k)
+
+    @pytest.mark.parametrize("name", PROVEN_CASES)
+    def test_solved_roots_are_right_at_every_digit(self, name):
+        """hensel_solve from x0 = r + p^(e+1), r a root's residue modulo
+        p^(e+1), e = v(f'(r))."""
+        p, coeffs, W, target = PROVEN_CASES[name]
+        deriv = [j * a for j, a in enumerate(coeffs)][1:]
+        F = Qp(p)
+        for r in root_residues(coeffs, p, target):
+            e = _vp(p, _ev(deriv, r))
+            x0 = r % p ** (e + 1) + p ** (e + 1)
+            cert = hensel_solve(HenselProblem(polynomial(F, coeffs, W), el(F, x0, 1, W),
+                                              zero(F, W), 0, target))
+            k = cert.root.abs_precision
+            assert k == min(W, cert.residual_prec - e) >= target
+            assert cert.root.reduce_mod(k) in root_residues(coeffs, p, k)
+            assert cert.root.reduce_mod(target) == r
+
+    def test_sqrt17_over_q2_reads_9961(self):
+        f = polynomial(Q2, [-17, 0, 1], 18)
+        roots = sorted(c.root.reduce_mod(16) for c in enumerate_roots(f, 0, target_prec=16))
+        assert roots == [9961, 2 ** 16 - 9961]
+
+    def test_target_plus_derivative_valuation_beyond_working_precision(self):
+        """X^2 - 9 over Q_3 known modulo 3^6, target 6: v(f'(x0)) = 1, so
+        the residual would have to vanish modulo 3^7."""
+        f = polynomial(Q3, [-9, 0, 1], 6)
+        prob = HenselProblem(f, el(Q3, 6, 1, 6), zero(Q3, 6), 0, 6)
+        for solve in (hensel_solve, fixed_point_solve):
+            with pytest.raises(PrecisionExhausted,
+                               match=r"target precision 6 exceeds working precision 6 "
+                                     r"less v\(f'\(x0\)\) = 1"):
+                solve(prob)
+        with pytest.raises(PrecisionExhausted):
+            enumerate_roots(f, 0, target_prec=6)
+
+
+@pytest.mark.parametrize("p,coeffs,solves", [
+    (7, [-1, 0, 0, 1], 3),      # X^3 - 1: every root found on X^3 - 1
+    (3, [0, -1, 0, 1], 5),      # X^3 - X: 1 and -1 found on x^2 - 1, solved again
+])
+def test_enumeration_solves_each_root_once_on_f(monkeypatch, p, coeffs, solves):
+    """A root found on f keeps its certificate; one found on a deflated
+    series is solved once more on f, since its certificate states the
+    deflated series' derivative."""
+    calls = []
+    solve = rootfind.hensel_solve
+
+    def counted(problem):
+        calls.append(problem)
+        return solve(problem)
+    monkeypatch.setattr(rootfind, "hensel_solve", counted)
+    certs = enumerate_roots(polynomial(Qp(p), coeffs, 12), 0)
+    assert len(certs) == 3
+    assert len(calls) == solves

@@ -1,19 +1,18 @@
-"""Fuzzing of the scheduled solve loop against the full-precision one.
+"""Fuzzing of the solve loop against the full-precision reference loop.
 
 `solve_model.py` keeps the loop that evaluates f and f' at the working
-precision on every step.  On every drawn problem the library must:
+precision on every step and returns its iterates as they come.  On
+every drawn problem the library must:
 
-- refuse exactly when the model refuses, with the same error class and
-  message, or else give an answer that is right at every claimed digit
-  against the exact root;
-- return the model's `abs_precision`, `uniqueness_exponent` and
-  `derivative_magnitude`, and the model's root digits below the
-  model's residual_prec - e_fp, with every digit below its own
-  residual_prec - e_fp right against the exact root;
-- reach residual_prec >= target, with b_(l+1) <= b_l^2 along the Newton
-  b trace;
-- for the frozen-slope map, which stays at full precision, return the
-  model's certificate field for field.
+- be right at every claimed digit against the exact root;
+- claim at least the target: abs_precision >= target, proven by a
+  residual_prec >= target + max(e_fp, 0);
+- refuse only where the model refuses, or where target + e_fp exceeds
+  the working precision (or the digits of z - f(x0) that eval
+  certifies at it);
+- where both answer, give the model's `uniqueness_exponent` and
+  `derivative_magnitude`, with b_(l+1) <= b_l^2 along the Newton b
+  trace.
 
 Problems: polynomials with exact rational roots over Q_p, p in
 {2, 3, 5, 7}, and with roots in F_q[T] over F_q((T)), q in {3, 5, 7},
@@ -24,9 +23,11 @@ precision; and the exponential solved from 0, as `log_solve` does.
 
 A last strategy draws polynomials with coefficients of negative
 valuation and uneven precision that nearly vanish at a random point,
-where eval certifies fewer digits at some iterates than at x0 and the
-full-precision loop cuts its iterates step by step.  No exact root is
-known there: no new answer is allowed.
+where eval certifies fewer digits at some iterates than at x0.  Their
+exact root is the one of the polynomial whose coefficients, x0 and z
+are taken as exact points (zero digits padded): a certificate holds for
+every lift of the data, so it holds for that one, whose root the model
+finds to many more digits.
 """
 
 from fractions import Fraction
@@ -37,7 +38,8 @@ from hypothesis import strategies as st
 
 import solve_model as model
 from dvfield.localfield import FieldElement, Qp, laurent_field
-from dvfield.rootfind import HenselProblem, fixed_point_solve, hensel_solve
+from dvfield.rootfind import (HenselProblem, _as_exact, _problem_state,
+                              fixed_point_solve, hensel_solve)
 from dvfield.series import TruncatedSeries, polynomial
 from dvfield.special import e_min, exp_eval, exp_series
 
@@ -48,15 +50,8 @@ def outcome(call):
     """A certificate, or the error class and message."""
     try:
         return ("ok", call())
-    except Exception as exc:             # compared, not swallowed
+    except Exception as exc:             # judged by check(), not swallowed
         return ("error", type(exc).__name__, str(exc))
-
-
-def pin(cert):
-    r = cert.root
-    return (r.valuation, r.unit, r.abs_precision, cert.residual_prec,
-            cert.uniqueness_exponent, tuple(b.exponent for b in cert.b_trace),
-            cert.derivative_magnitude.exponent)
 
 
 # -- problems with exact roots -----------------------------------------------
@@ -175,7 +170,10 @@ def exact_digits_agree(root, roots, k):
 
 def agrees(root, exact, k):
     F = root.descriptor
-    if isinstance(exact, Fraction):
+    if isinstance(exact, FieldElement):
+        e = exact
+        assert e.abs_precision >= k, "the exact root is known to too few digits"
+    elif isinstance(exact, Fraction):
         if exact == 0:
             e = FieldElement.zero_to_precision(F, k + 8)
         else:
@@ -186,37 +184,58 @@ def agrees(root, exact, k):
     return d.valuation_lower_bound >= min(k, root.abs_precision)
 
 
-def check(problem, roots, solve, model_solve, scheduled=True):
-    """The contract above; with roots None (no exact root known) no new
-    answer is allowed."""
+def lifted_root(problem, extra=64):
+    """The root near x0 of f(x) = z with the coefficients of f, x0 and z
+    taken as exact points modulo q^(W + extra), W the largest precision
+    among them; from the model, to the digits its residual proves.  The
+    model's iterates lose v(f'(x0)) digits a step, so it solves to
+    W + extra / 2 only."""
+    data = (*problem.f.coeffs, problem.x0, problem.z)
+    H = max(c.abs_precision for c in data) + extra
+    f = TruncatedSeries(problem.f.descriptor,
+                        tuple(_as_exact(c, H) for c in problem.f.coeffs))
+    lifted = HenselProblem(f, _as_exact(problem.x0, H), _as_exact(problem.z, H),
+                           problem.m, H - extra // 2)
+    cert = model.hensel_solve(lifted)
+    x = cert.root
+    return x.truncate(min(x.abs_precision,
+                          cert.residual_prec - cert.derivative_magnitude.exponent))
+
+
+def beyond_working_precision(problem):
+    """Whether target + max(e_fp, 0) exceeds the working precision, or
+    the digits of z - f(x0) that eval certifies there."""
+    try:
+        state = _problem_state(problem)
+    except Exception:
+        return False
+    need = problem.target_prec + max(state.fp0.valuation, 0)
+    return need > min(state.prec, state.d0.abs_precision)
+
+
+def check(problem, roots, solve, model_solve, newton=True):
+    """The contract above; with roots None the exact root is the lifted
+    problem's."""
     got = outcome(lambda: solve(problem))
     want = outcome(lambda: model_solve(problem))
-    if got[0] == "error" or roots is None:
-        assert got[0] == want[0] == "ok" or got == want
     if got[0] == "error":
+        assert want[0] == "error" or beyond_working_precision(problem), (got, want)
         return
     cert = got[1]
     e_fp = cert.derivative_magnitude.exponent
-    if want[0] == "error":
-        # a new answer: right at every claimed digit
-        assert exact_digits_agree(cert.root, roots, cert.root.abs_precision), want
-        return
-    ref = want[1]
-    if not scheduled:
-        assert pin(cert) == pin(ref)
-        return
-    assert cert.root.abs_precision == ref.root.abs_precision
-    assert cert.uniqueness_exponent == ref.uniqueness_exponent
-    assert cert.derivative_magnitude == ref.derivative_magnitude
-    assert cert.residual_prec >= problem.target_prec
-    k = min(ref.root.abs_precision, ref.residual_prec - e_fp)
-    assert (cert.root - ref.root).valuation_lower_bound >= k
-    exps = [b.exponent for b in cert.b_trace]
-    for a, b in zip(exps, exps[1:]):
-        assert b >= 2 * a                   # b_(l+1) <= b_l^2
-    if roots is not None:
-        assert exact_digits_agree(cert.root, roots,
-                                  min(cert.root.abs_precision, cert.residual_prec - e_fp))
+    assert cert.root.abs_precision >= problem.target_prec
+    assert cert.residual_prec >= problem.target_prec + max(e_fp, 0)
+    if roots is None:
+        roots = [lifted_root(problem)]
+    assert exact_digits_agree(cert.root, roots, cert.root.abs_precision)
+    if want[0] == "ok":
+        ref = want[1]
+        assert cert.uniqueness_exponent == ref.uniqueness_exponent
+        assert cert.derivative_magnitude == ref.derivative_magnitude
+    if newton:
+        exps = [b.exponent for b in cert.b_trace]
+        for a, b in zip(exps, exps[1:]):
+            assert b >= a + a                   # b_(l+1) <= b_l^2
 
 
 @FUZZ
@@ -230,7 +249,7 @@ def test_newton_matches_the_model(case):
 @given(st.one_of(padic_case(), laurent_case()))
 def test_fixed_point_matches_the_model(case):
     problem, roots = case
-    check(problem, roots, fixed_point_solve, model.fixed_point_solve, False)
+    check(problem, roots, fixed_point_solve, model.fixed_point_solve, newton=False)
 
 
 @st.composite
@@ -308,7 +327,7 @@ _Q3, _Q7, _L2, _L3 = Qp(3), Qp(7), laurent_field(2), laurent_field(3)
 FOUND = {
     # eval loses a digit at every iterate of valuation -1: the
     # full-precision loop cuts its iterates step by step and refuses at
-    # the target, so the scheduled loop restarts without the schedule
+    # the target
     "iterates cut by eval": (HenselProblem(
         TruncatedSeries(_Q7, (FieldElement(_Q7, -2, 3_219_905_755_813_179_726_801_262, 27),
                               _e(_Q7, -1, [4], 32), _e(_Q7, 3, [1], 31),
@@ -330,14 +349,19 @@ FOUND = {
     # (X - 17/11)(X - 1/2)(X - 33)/3 from 17/11 + 3: the second
     # scheduled iterate's residual lands one digit above the
     # full-precision loop's, so the last step stops at residual 16,
-    # short of the root's 18 digits, where the full-precision loop
-    # takes one more step to 17; the solve restarts without the schedule
+    # where the full-precision loop takes one more step to 17
     "a digit faster": (HenselProblem(
         polynomial(_Q3, poly_from_roots([Fraction(17, 11), Fraction(1, 2), 33],
                                         Fraction(1, 3)), 17),
         FieldElement.from_rational(_Q3, 17 + 3 * 11, 11, 18),
         FieldElement.zero_to_precision(_Q3, 17), 0, 16),
         [Fraction(17, 11), Fraction(1, 2), Fraction(33)]),
+    # a linear f with v(f') = 3 at target 1: the root keeps 2 digits,
+    # too few to read v(f'(root)) at, so the closing check reads the
+    # iterate before it is cut
+    "derivative read before the cut": (HenselProblem(
+        TruncatedSeries(_L3, (_e(_L3, 6, [1, 2], 8), _e(_L3, 3, [2, 2, 2], 6))),
+        _e(_L3, 2, [1, 1, 1], 5), FieldElement.zero_to_precision(_L3, 9), 1, 1), None),
 }
 
 
@@ -347,16 +371,22 @@ def test_found_cases_match_the_model(name):
     check(problem, roots, hensel_solve, model.hensel_solve)
 
 
-def test_a_digit_faster_returns_the_model_certificate():
-    problem, _ = FOUND["a digit faster"]
-    assert pin(hensel_solve(problem)) == pin(model.hensel_solve(problem))
+def test_a_digit_faster_claims_only_certified_digits():
+    """The scheduled loop stops at residual_prec 16, one step before the
+    full-precision loop: the root keeps the 16 - v(f'(root)) = 17 digits
+    that residual proves, all of them 17/11's."""
+    problem, roots = FOUND["a digit faster"]
+    cert = hensel_solve(problem)
+    assert cert.residual_prec == 16
+    assert cert.root.abs_precision == 17
+    assert exact_digits_agree(cert.root, roots[:1], 17)
 
 
 def test_root_below_full_precision_claims_only_certified_digits():
     """A scheduled step lands on a residual that reaches the target but
-    certifies fewer digits than the iterate claims: the solve restarts
-    without the schedule and returns the full-precision loop's
-    certificate, field for field."""
+    proves fewer digits than the iterate is known to: the root keeps the
+    residual_prec - e_fp digits it proves, each of them the lifted
+    problem's."""
     f = TruncatedSeries(_L3, (
         _e(_L3, -3, [2, 0, 2, 1, 0, 0, 2, 1, 0, 1, 2, 2, 0, 2, 2, 2, 1, 2, 1, 2, 1, 2, 2, 0, 1], 22),
         _e(_L3, -2, [2, 1, 1, 0, 1, 0, 2, 2, 0, 0, 0, 1, 0, 0, 2, 1, 0, 1, 0, 2, 0, 1, 1, 1, 1,
@@ -367,4 +397,8 @@ def test_root_below_full_precision_claims_only_certified_digits():
     x0 = _e(_L3, -1, [2, 2, 1, 0, 0, 0, 2, 1, 1, 0, 1, 0, 2, 2, 0, 0, 0, 1, 0, 0, 2, 1, 0, 1,
                       0, 2, 0], 26)
     problem = HenselProblem(f, x0, FieldElement.zero_to_precision(_L3, 28), -1, 20)
-    assert pin(hensel_solve(problem)) == pin(model.hensel_solve(problem))
+    cert = hensel_solve(problem)
+    e_fp = cert.derivative_magnitude.exponent
+    assert cert.root.abs_precision == cert.residual_prec - e_fp
+    assert cert.root.abs_precision < model.hensel_solve(problem).root.abs_precision
+    assert agrees(cert.root, lifted_root(problem), cert.root.abs_precision)
