@@ -6,8 +6,10 @@
   starts empty.
 - `eval` as Horner's rule over `FieldElement`s, total <- total * x + a_j,
   before it became one kernel on (valuation, unit, abs_precision) ints;
-  `exp_eval` as that loop over a stored `exp_series` (the domain check
-  stays the library's).
+  `exp_series` as a plain series storing every 1/j! that such a loop
+  reads to its target, for E and for E', before E was evaluated in
+  closed form and stored only a short table; `exp_eval` as that loop
+  over it (the domain check stays the library's).
 - `inverse_factorials` as one `pow(free, -1, p^top)` per index, before
   the table was built with a single inversion.
 
@@ -23,7 +25,7 @@ from fractions import Fraction
 from dvfield.errors import DomainError
 from dvfield.localfield import FieldDescriptor, FieldElement
 from dvfield.series import TailProfile, TruncatedSeries
-from dvfield.special import exp_series
+from dvfield.special import e_min
 from dvfield.valuation import factorial_valuation
 
 
@@ -148,6 +150,23 @@ def eval(self: TruncatedSeries, x: FieldElement, target_prec: int) -> FieldEleme
     for j in range(cut - 2, -1, -1):
         total = total * x + f.coeffs[j]
     return total.truncate(min(target_prec, total.abs_precision))
+
+
+def exp_series(descriptor: FieldDescriptor, target_prec: int) -> TruncatedSeries:
+    p = descriptor.q
+    slope = Fraction(-1, p - 1)
+    intercept = Fraction(1, p - 1)
+    m = e_min(p)
+    cut = math.ceil((Fraction(target_prec) - intercept) / (slope + m))
+    coeff_prec = target_prec + factorial_valuation(p, cut + p) + 2
+
+    def factory(j: int) -> FieldElement:
+        return FieldElement.from_rational(descriptor, 1, math.factorial(j), coeff_prec)
+
+    stored = max(2, math.ceil((Fraction(target_prec) - intercept - slope)
+                              / (slope + m)) + 1)
+    coeffs = inverse_factorials(descriptor, stored, coeff_prec)
+    return TruncatedSeries(descriptor, coeffs, TailProfile(1, slope, intercept), factory)
 
 
 def exp_eval(x: FieldElement, target_prec: int) -> FieldElement:

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 import series_model as model
+from dvfield import special
 from dvfield.errors import DomainError, PrecisionExhausted
 from dvfield.localfield import FieldElement, Qp, laurent_field
+from dvfield.rootfind import strassmann_bound
+from dvfield.series import TruncatedSeries
 from dvfield.special import (_inverse_factorials, e_min, exp_eval, exp_functional_check,
                               exp_series, log_solve)
 from dvfield.valuation import factorial_valuation, vp
@@ -30,6 +33,8 @@ def test_domain_edge():
 def test_needs_characteristic_zero():
     with pytest.raises(DomainError):
         exp_series(laurent_field(5), 8)
+    with pytest.raises(DomainError, match="needs characteristic zero"):
+        exp_eval(FieldElement.one(laurent_field(5), 4), 4)
 
 
 class TestCoefficients:
@@ -84,6 +89,148 @@ class TestCoefficients:
                 assert Fraction(v) >= s * j + i
 
 
+class TestShortTable:
+    """exp_series stores at most five 1/j!; every bound read from the
+    table matches the full table of the Horner evaluator
+    (`series_model.exp_series`)."""
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_bounds_match_the_full_table(self, p):
+        F = Qp(p)
+        for N in (1, 2, 3, 4, 5, 8, 17, 40, 100, 300):
+            E, full = exp_series(F, N), model.exp_series(F, N)
+            assert E.stored_len == min(5, full.stored_len)
+            assert E.working_precision == full.working_precision
+            assert E.global_minorant() == full.global_minorant()
+            for m in range(e_min(p), e_min(p) + 4):
+                for k in range(4):
+                    assert E.sup_exponent(m, k) == full.sup_exponent(m, k), (N, m, k)
+                for first in (0, 1):
+                    assert strassmann_bound(E, m, first) == strassmann_bound(full, m, first)
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_shifted_sums_are_the_full_tables_cut_short(self, p):
+        """recenter and deflate materialize a number of terms that grows
+        with the stored count, so from the short table they return fewer
+        coefficients: the full table's first ones, each the same value to
+        at most the same precision, under the same tail line."""
+        F = Qp(p)
+        rng = random.Random(p)
+        for N in (1, 3, 5, 12, 20):
+            E, full = exp_series(F, N), model.exp_series(F, N)
+            for m in range(e_min(p), e_min(p) + 3):
+                for _ in range(2):
+                    v = m + rng.randrange(3)
+                    x0 = el(F, p ** v * rng.randrange(1, 50), 1 + p * rng.randrange(9),
+                            v + rng.randrange(1, 12))
+                    for op in ("recenter", "deflate"):
+                        short, long = getattr(E, op)(x0, m), getattr(full, op)(x0, m)
+                        assert short.stored_len <= long.stored_len
+                        assert short.tail.start == short.stored_len
+                        assert (short.tail.slope, short.tail.intercept) == (
+                            long.tail.slope, long.tail.intercept)
+                        for c, d in zip(short.coeffs, long.coeffs):
+                            assert c == d.truncate(c.abs_precision)
+
+
+def exact_exp_mod(p, x, k):
+    """E(x) modulo p^k for an integer x with v(x) >= e_min(p), from the
+    exact partial sum over j < J, J the first index with j v(x) - (j -
+    1)/(p - 1) >= k: Horner's rule on sum x^j (J-1)!/j!, then division
+    by (J-1)! = p^t Q'.  Both run modulo p^(k+t), which keeps every
+    digit the division reads; the sum itself has about J k digits."""
+    v = 0
+    while x % p ** (v + 1) == 0:
+        v += 1
+    J = 1
+    while J * v * (p - 1) - (J - 1) < k * (p - 1):
+        J += 1
+    t, power = 0, p
+    while power < J:
+        t += (J - 1) // power
+        power *= p
+    M = p ** (k + t)
+    acc = c = 1
+    for j in range(J - 2, -1, -1):
+        c = c * (j + 1) % M
+        acc = (acc * x + c) % M
+    return acc // p ** t * pow(c // p ** t, -1, p ** k) % p ** k
+
+
+class TestClosedForm:
+    """E in closed form (bit-burst binary splitting) against exact sums
+    and against Horner's rule over the stored 1/j! (`series_model`)."""
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    @pytest.mark.parametrize("N", (1000, 3000))
+    def test_matches_exact_partial_sums(self, p, N):
+        rng = random.Random(N + p)
+        s = e_min(p)
+        x = p ** s * rng.randrange(1, p ** (N - s))
+        if x % p ** (s + 1) == 0:
+            x += p ** s
+        want = exact_exp_mod(p, x, N)
+        xe = el(Qp(p), x, 1, N)
+        assert exp_eval(xe, N) == FieldElement(Qp(p), 0, want, N)
+        assert exp_series(Qp(p), N).eval(xe, N) == FieldElement(Qp(p), 0, want, N)
+
+    def test_edge_cases_match_the_model(self):
+        def outcome(call):
+            try:
+                y = call()
+            except Exception as exc:         # compared, not swallowed
+                return ("error", type(exc).__name__, str(exc))
+            return ("ok", y.valuation, y.unit, y.abs_precision)
+
+        cases = []
+        for p in (2, 3, 5, 7):
+            F, s = Qp(p), e_min(p)
+            for N in (1, 2, 5, 12):
+                cases += [
+                    (F, N, FieldElement.zero_to_precision(F, s), N),          # zero, short
+                    (F, N, FieldElement.zero_to_precision(F, N + 4), N),
+                    (F, N, el(F, p ** s * (p + 1), 1, N + 2), N),             # v(x) = e_min
+                    (F, N, el(F, p ** s * 2 if p > 2 else 12, 11, N), N),
+                    (F, N, el(F, p ** s, 1, 2 * s), 2 * s),                   # one chunk
+                    (F, N, el(F, p ** (s + 1) * (p + 1), 1, s + 2), N + 1),   # x short
+                    (F, N, el(F, p ** s * 5, 3 if p != 3 else 2, 9), 0),      # target <= 0
+                    (F, N, el(F, p ** s * 5, 3 if p != 3 else 2, 9), -2),
+                    (F, N, el(F, p ** (s - 1) * (p + 1), 1, 9), N),           # outside
+                    (F, N, el(Q5 if p != 5 else Q3, 25, 1, 9), N),            # other field
+                ]
+        for F, N, x, target in cases:
+            E = exp_series(F, N)
+            got = outcome(lambda: E.eval(x, target))
+            assert got == outcome(lambda: model.eval(E, x, target)), (F.q, N, x, target)
+            assert outcome(lambda: E.derivative().eval(x, target)) == got
+            if target >= 1 and x.descriptor == F and x.valuation_lower_bound >= e_min(F.q):
+                assert outcome(lambda: exp_eval(x, target)) == outcome(
+                    lambda: model.exp_eval(x, target)), (F.q, N, x, target)
+
+    def test_exp_eval_to_a_nonpositive_target(self):
+        """Known to no digit: zero to that precision, what E.eval returns
+        (the table of the Horner path could not be built there)."""
+        x = el(Q3, 3, 1, 10)
+        for target in (0, -3):
+            assert exp_eval(x, target) == FieldElement.zero_to_precision(Q3, target)
+
+    def test_derivative_is_the_series(self):
+        for p in (2, 3, 5, 7):
+            E = exp_series(Qp(p), 20)
+            assert E.derivative() is E
+
+    def test_exp_eval_builds_no_series(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("exp_eval went through a series")
+
+        x = el(Q3, 3 * 5, 7, 200)
+        want = exp_eval(x, 200)
+        monkeypatch.setattr(special, "exp_series", forbidden)
+        monkeypatch.setattr(TruncatedSeries, "eval", forbidden)
+        monkeypatch.setattr(type(exp_series(Q3, 1)), "eval", forbidden)
+        assert exp_eval(x, 200) == want
+
+
 class TestExpEval:
     def test_oracle_q5(self):
         got = exp_eval(el(Q5, 5, 1, 14), 3)
@@ -125,13 +272,13 @@ class TestExpEval:
                 assert (y - FieldElement.one(desc, 10)).valuation == x.valuation
 
     def test_diverges_outside_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="exponential diverges: need valuation >= 2"):
             exp_eval(el(Q2, 2, 1, 12), 8)     # p=2 needs v >= 2
         with pytest.raises(DomainError):
             exp_eval(el(Q5, 3, 1, 12), 8)
 
     def test_argument_known_to_fewer_digits_than_the_target(self):
-        with pytest.raises(PrecisionExhausted):
+        with pytest.raises(PrecisionExhausted, match="cannot raise precision from 4 to 10"):
             exp_eval(el(Q5, 5, 1, 4), 10)
 
     def test_at_zero(self):
@@ -181,7 +328,7 @@ class TestLog:
 
     def test_solves_at_the_target_not_at_z_precision(self, monkeypatch):
         # z known far beyond the target: the solve works to the target only,
-        # so its evals read the stored 1/j! and build none
+        # so it builds no more coefficients than for z known to the target
         x = el(Q3, 3 * 7, 1, 60)
         fine, coarse = exp_eval(x, 60), exp_eval(x, 30)
         from_rational = FieldElement.from_rational.__func__
