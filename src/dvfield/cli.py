@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 on parse errors (with the offending
-position), 2 on domain or hypothesis failures (with the machine-readable
-error class name).
+position) and usage errors, 2 on domain or hypothesis failures (with the
+machine-readable error class name).
 """
 
 from __future__ import annotations
@@ -13,17 +13,18 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
+# `dvfield.cli.<name>` still reaches every package name, read from the
+# submodule that binds it at each access.
+from . import _resolve as __getattr__  # noqa: F401
 from .errors import ParseError, UltrametricError
 from .localfield import (FieldDescriptor, FieldElement, Qp, invert_one_minus,
                          laurent_field)
-from .measure import (BallSpec, digit_set_analysis, haar_union_measure,
-                      hausdorff_alpha, image_measure, scale_family)
-from .rootfind import (HenselProblem, enumerate_roots, fixed_point_solve,
-                       hensel_solve, strassmann_bound)
-from .special import exp_eval, log_solve
 from .textio import (parse_ball, parse_element, parse_rational, parse_series,
                      render_element, render_fraction, render_series)
-from .valuation import factorial_valuation, is_infinite, vp
+from .valuation import factorial_valuation, is_infinite, is_prime, vp
+
+# Each command imports the solver and measure modules it calls when it
+# runs, so that a process answering one command compiles only those.
 
 
 def _descriptor(args) -> FieldDescriptor:
@@ -98,6 +99,7 @@ def _cmd_inv1m(args) -> int:
 
 
 def _cmd_hensel(args) -> int:
+    from .rootfind import HenselProblem, fixed_point_solve, hensel_solve
     desc = _descriptor(args)
     f = parse_series(args.f, desc, args.precision + 4)
     x0 = parse_element(args.x0, desc, args.precision + 4)
@@ -117,6 +119,7 @@ def _cmd_hensel(args) -> int:
 
 
 def _cmd_roots(args) -> int:
+    from .rootfind import enumerate_roots
     desc = _descriptor(args)
     f = parse_series(args.f, desc, args.precision + 4)
     certs = enumerate_roots(f, args.ball, scan_depth=args.depth,
@@ -128,6 +131,7 @@ def _cmd_roots(args) -> int:
 
 
 def _cmd_strassmann(args) -> int:
+    from .rootfind import strassmann_bound
     desc = _descriptor(args)
     f = parse_series(args.f, desc, args.precision)
     report = strassmann_bound(f, args.ball, from_index=args.from_index)
@@ -136,6 +140,7 @@ def _cmd_strassmann(args) -> int:
 
 
 def _cmd_exp(args) -> int:
+    from .special import exp_eval
     desc = _descriptor(args)
     x = parse_element(args.value, desc, args.precision)
     out = exp_eval(x, args.precision)
@@ -143,6 +148,7 @@ def _cmd_exp(args) -> int:
 
 
 def _cmd_log(args) -> int:
+    from .special import log_solve
     desc = _descriptor(args)
     z = parse_element(args.value, desc, args.precision)
     out = log_solve(z, args.precision)
@@ -160,6 +166,7 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    from .measure import haar_union_measure, image_measure, scale_family
     desc = _descriptor(args)
     balls = [parse_ball(t, desc, args.precision) for t in args.balls]
     if args.action == "union":
@@ -186,6 +193,7 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_dim(args) -> int:
+    from .measure import DimensionValue, digit_set_analysis, hausdorff_alpha
     if args.what == "alpha":
         desc = _descriptor(args)
         a = parse_rational(args.snowflake)
@@ -204,7 +212,6 @@ def _cmd_dim(args) -> int:
             raise ParseError("digit set must be comma-separated integers",
                              0) from None
         if args.beta_log is not None:
-            from .measure import DimensionValue
             beta = DimensionValue(args.beta_log, args.prime)
         else:
             beta = parse_rational(args.beta)
@@ -223,6 +230,22 @@ def _cmd_dim(args) -> int:
     raise ParseError(f"unknown dim action {args.what!r}", 0)
 
 
+def prime(text: str) -> int:
+    """argparse type of -p: a prime, refused with a usage error otherwise."""
+    p = int(text)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not prime")
+    return p
+
+
+def index(text: str) -> int:
+    """argparse type of factval's index j in j!: an integer j >= 0."""
+    j = int(text)
+    if j < 0:
+        raise argparse.ArgumentTypeError(f"{j} is negative")
+    return j
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dvfield",
@@ -231,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, ball=False, series=False):
-        p.add_argument("-p", "--prime", type=int, required=True)
+        p.add_argument("-p", "--prime", type=prime, required=True)
         p.add_argument("--laurent", action="store_true",
                        help="work in F_q((T)) instead of Q_p")
         p.add_argument("-N", "--precision", type=int, default=16)
@@ -249,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factval", help="valuation of j!")
     common(p)
-    p.add_argument("index", type=int)
+    p.add_argument("index", type=index)
     p.set_defaults(func=_cmd_factval)
 
     p = sub.add_parser("elem", help="parse/normalize an element, or combine two")

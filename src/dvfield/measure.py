@@ -15,11 +15,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, InsufficientPrecision
 from .localfield import FieldDescriptor, FieldElement
-from .series import TruncatedSeries
+
+if TYPE_CHECKING:
+    from .series import TruncatedSeries
 
 RationalMeasure = Fraction
 

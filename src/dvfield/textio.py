@@ -18,13 +18,14 @@ from __future__ import annotations
 import dataclasses
 import re
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from .errors import ParseError
 from .localfield import FieldDescriptor, FieldElement, FieldKind
-from .measure import BallSpec
-from .series import TruncatedSeries, polynomial
-from .special import exp_series
+
+if TYPE_CHECKING:
+    from .measure import BallSpec
+    from .series import TruncatedSeries
 
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
@@ -154,6 +155,7 @@ def parse_ball(text: str, descriptor: FieldDescriptor,
                          len(elem_text) + 1) from None
     center = parse_element(elem_text, descriptor,
                            max(default_prec, radius))
+    from .measure import BallSpec
     return BallSpec.make(center, radius)
 
 
@@ -166,6 +168,7 @@ _SERIES_TERM_RE = re.compile(
 
 def parse_series(text: str, descriptor: FieldDescriptor,
                  prec: int) -> TruncatedSeries:
+    from .series import TruncatedSeries, polynomial
     s = text
     pos = 0
     sign = 1
@@ -226,6 +229,7 @@ def parse_series(text: str, descriptor: FieldDescriptor,
     rationals = [coeffs.get(e, Fraction(0)) for e in range(degree + 1)]
     if not tail_exp:
         return polynomial(descriptor, rationals, prec)
+    from .special import exp_series
     template = exp_series(descriptor, prec)
     stored = max(len(rationals), 1)
     elems = []

@@ -146,6 +146,7 @@ class TestCommands:
         assert "balls=32" in text and "(vs 1: +0)" in text
 
     def test_dim_digits_at_depth_12_builds_no_cover(self, capsys):
+        import dvfield.measure  # noqa: F401 (compiling it is not the cover)
         tracemalloc.start()
         try:
             assert run(["dim", "-p", "5", "digits", "--digits", "0,1,2,4",
@@ -195,3 +196,15 @@ class TestJsonAndErrors:
 
     def test_unknown_flag_exits_1(self, capsys):
         assert run(["val", "-p", "5", "--bogus", "1"]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["val", "-p", "4", "--", "12"], "argument -p/--prime: 4 is not prime"),
+        (["elem", "--laurent", "-p", "4", "-N", "4", "--", "1"],
+         "argument -p/--prime: 4 is not prime"),
+        (["dim", "-p", "1", "alpha"], "argument -p/--prime: 1 is not prime"),
+        (["factval", "-p", "3", "--", "-1"], "argument index: -1 is negative"),
+    ])
+    def test_bad_prime_or_index_is_a_usage_error(self, capsys, argv, message):
+        assert run(argv) == 1
+        err = out_of(capsys)[1]
+        assert message in err and "Traceback" not in err
