@@ -9,7 +9,10 @@
   `exp_series` as a plain series storing every 1/j! that such a loop
   reads to its target, for E and for E', before E was evaluated in
   closed form and stored only a short table; `exp_eval` as that loop
-  over it (the domain check stays the library's).
+  over it (the domain check stays the library's).  `eval` of the
+  library's E (or E') at a target >= 1 is that `exp_eval` to
+  min(target, digits of x): E is an isometry on its domain, so E(x) is
+  known to exactly the digits of x, however short the table it stores.
 - `inverse_factorials` as one `pow(free, -1, p^top)` per index, before
   the table was built with a single inversion.
 
@@ -25,7 +28,7 @@ from fractions import Fraction
 from dvfield.errors import DomainError
 from dvfield.localfield import FieldDescriptor, FieldElement
 from dvfield.series import TailProfile, TruncatedSeries
-from dvfield.special import e_min
+from dvfield.special import _Exponential, e_min
 from dvfield.valuation import factorial_valuation
 
 
@@ -142,6 +145,8 @@ def eval(self: TruncatedSeries, x: FieldElement, target_prec: int) -> FieldEleme
     if not self.admits_radius(m):
         raise DomainError(
             f"argument magnitude q^(-{m}) outside the convergence domain")
+    if isinstance(self, _Exponential) and target_prec >= 1:
+        return exp_eval(x, min(target_prec, x.abs_precision))
     cut = self._cutoff(m, target_prec)
     f = self.materialized(cut)
     if cut == 0:
