@@ -16,9 +16,12 @@ here are the only code that knows how that int holds the digits:
   product.
 
 Every kernel takes units and digit counts and returns a unit int, or
-plain ints, never an element.  Besides the element methods, series
-evaluation (`series._horner`) calls them directly, to run Horner's rule
-on ints.
+plain ints, never an element.  On top of them, `mul3` and `add3` state
+the two precision rules of element arithmetic once, on (valuation, unit,
+abs_precision) triples: a product is known to the smaller relative
+precision, a sum to the smaller absolute precision.  FieldElement's `*`
+and `+` and series evaluation's Horner loop (`series._horner`) all go
+through them.
 """
 
 from __future__ import annotations
@@ -33,7 +36,47 @@ from .valuation import INFINITY, Valuation
 _POWERS_KEPT = 32
 
 
-class PadicArith:
+class _Rules:
+    """The product and sum rules on (valuation, unit, abs_precision)
+    triples, through the kind's kernels; a triple with valuation INFINITY
+    and unit 0 is zero to its precision."""
+
+    def mul3(self, va: Valuation, ua: int, Na: int,
+             vb: Valuation, ub: int, Nb: int) -> Tuple[Valuation, int, int]:
+        """The product, known to the smaller relative precision; a zero
+        factor gives zero at the sum of the valuation lower bounds."""
+        if va is INFINITY or vb is INFINITY:
+            return INFINITY, 0, (Na if va is INFINITY else va) + (Nb if vb is INFINITY else vb)
+        k = Na - va
+        if Nb - vb < k:
+            k = Nb - vb
+        v = va + vb
+        # a product of units is a unit: nothing to normalize
+        return v, self.mul(ua, ub, k), v + k
+
+    def add3(self, va: Valuation, ua: int, Na: int,
+             vb: Valuation, ub: int, Nb: int) -> Tuple[Valuation, int, int]:
+        """The sum, known to the smaller absolute precision n (the
+        ultrametric inequality); digits that cancel are stripped."""
+        n = Na if Na < Nb else Nb
+        if va is not INFINITY and vb is not INFINITY:
+            # both valuations lie below their precisions, so v0 < n
+            v0 = va if va < vb else vb
+            w = self.add(ua, va - v0, ub, vb - v0, n - v0)
+            if not w:
+                return INFINITY, 0, n
+            t, u = self.strip(w)
+            return v0 + t, u, n
+        # a zero summand truncates the other (truncating a unit to its own
+        # digit count keeps it)
+        if va is INFINITY:
+            va, ua = vb, ub
+        if va is INFINITY or va >= n:
+            return INFINITY, 0, n
+        return va, self.truncate(ua, n - va), n
+
+
+class PadicArith(_Rules):
     """Units of Q_p as integers in [0, p^k)."""
 
     def __init__(self, p: int):
@@ -149,7 +192,7 @@ def _pack(values: Sequence[int], width: int) -> bytes:
     return b"".join(v.to_bytes(width, "little") for v in values)
 
 
-class LaurentArith:
+class LaurentArith(_Rules):
     """Units of F_q((T)): coefficient i in slot i, `width` bytes each.
 
     A slot keeps its top bit free, so the sum of two coefficients fits in

@@ -11,8 +11,10 @@ The two kinds differ only in how the unit int holds its digits: Q_p
 keeps an integer below p^k, F_q((T)) one coefficient per fixed-width bit
 slot.  Each kind has a handful of small kernels on that int (`arith`),
 chosen once per descriptor, so the element methods below hold no
-kind-specific code.  `digits` derives the base-q digits, lowest first,
-from the unit; text output, JSON and orderings read them there.
+kind-specific code; `*` and `+` are the kernels' product and sum rules
+(`mul3`, `add3`) on (valuation, unit, abs_precision).  `digits` derives
+the base-q digits, lowest first, from the unit; text output, JSON and
+orderings read them there.
 """
 
 from __future__ import annotations
@@ -90,21 +92,16 @@ class FieldElement:
         return cls(descriptor, INFINITY, 0, prec)
 
     @classmethod
-    def _normalized(cls, descriptor, v0: int, window: int, prec: int) -> "FieldElement":
-        """The element whose digits from position v0 on are those of the
-        unit-shaped int window, which may start with zero digits."""
-        if window == 0:
-            return cls.zero_to_precision(descriptor, prec)
-        t, u = descriptor.arith.strip(window)
-        return cls(descriptor, v0 + t, u, prec)
-
-    @classmethod
     def from_digits(cls, descriptor: FieldDescriptor, v0: int, digits: Sequence[int],
                     prec: int) -> "FieldElement":
         """sum digits[i] * uniformizer^(v0 + i) + O(uniformizer^prec), for
         base-q digits 0 <= d < q, lowest first, with v0 + len(digits) <=
         prec; the first digits may be zero."""
-        return cls._normalized(descriptor, v0, descriptor.arith.pack(digits), prec)
+        window = descriptor.arith.pack(digits)
+        if window == 0:
+            return cls.zero_to_precision(descriptor, prec)
+        t, u = descriptor.arith.strip(window)
+        return cls(descriptor, v0 + t, u, prec)
 
     @classmethod
     def from_rational(cls, descriptor: FieldDescriptor, numerator: int,
@@ -179,16 +176,9 @@ class FieldElement:
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check_same(other)
-        N = min(self.abs_precision, other.abs_precision)
-        if self.is_zero_to_precision:
-            return other.truncate(N)
-        if other.is_zero_to_precision:
-            return self.truncate(N)
-        # each valuation lies below its precision, so v0 < N
-        v0 = min(self.valuation, other.valuation)
-        window = self.descriptor.arith.add(self.unit, self.valuation - v0,
-                                           other.unit, other.valuation - v0, N - v0)
-        return FieldElement._normalized(self.descriptor, v0, window, N)
+        return FieldElement(self.descriptor, *self.descriptor.arith.add3(
+            self.valuation, self.unit, self.abs_precision,
+            other.valuation, other.unit, other.abs_precision))
 
     def __neg__(self) -> "FieldElement":
         if self.is_zero_to_precision:
@@ -201,14 +191,9 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._check_same(other)
-        if self.is_zero_to_precision or other.is_zero_to_precision:
-            return FieldElement.zero_to_precision(
-                self.descriptor, self.valuation_lower_bound + other.valuation_lower_bound)
-        v = self.valuation + other.valuation
-        k = min(self.relative_precision, other.relative_precision)
-        # a product of units is a unit: nothing to normalize
-        u = self.descriptor.arith.mul(self.unit, other.unit, k)
-        return FieldElement(self.descriptor, v, u, v + k)
+        return FieldElement(self.descriptor, *self.descriptor.arith.mul3(
+            self.valuation, self.unit, self.abs_precision,
+            other.valuation, other.unit, other.abs_precision))
 
     def inverse(self) -> "FieldElement":
         if self.is_zero_to_precision:
@@ -223,9 +208,6 @@ class FieldElement:
         if other.is_zero_to_precision:
             raise DivisionByIndistinguishableZero(
                 "divisor indistinguishable from zero at its precision")
-        if self.is_zero_to_precision:
-            return FieldElement.zero_to_precision(
-                self.descriptor, self.abs_precision - other.valuation)
         return self * other.inverse()
 
     def mul_integer(self, n: int) -> "FieldElement":
@@ -304,6 +286,14 @@ class FieldElement:
         body = " + ".join(
             f"{d}*{sym}^{self.valuation + i}" for i, d in enumerate(self.digits) if d)
         return f"{body} + O({sym}^{self.abs_precision})"
+
+
+def as_exact(x: FieldElement, prec: int) -> FieldElement:
+    """x taken as an exact point known modulo q^prec at least: its unit
+    padded with zero digits, a genuine member of the ball x stands for."""
+    if prec <= x.abs_precision:
+        return x
+    return FieldElement(x.descriptor, x.valuation, x.unit, prec)
 
 
 def invert_one_minus(x: FieldElement, prec: int) -> FieldElement:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, InsufficientPrecision
-from .localfield import FieldDescriptor, FieldElement
+from .localfield import FieldDescriptor, FieldElement, as_exact
 
 if TYPE_CHECKING:
     from .series import TruncatedSeries
@@ -171,26 +171,23 @@ class DimensionValue:
         return float(self.factor) * math.log(self.count_base) / math.log(self.scale_base)
 
     def rational_value(self) -> Optional[Fraction]:
-        """Exact value when count_base is an integer power of scale_base
-        (or 1); None when the ratio is irrational."""
-        if self.count_base == 1:
-            return Fraction(0)
-        n, e = self.count_base, 0
-        power = 1
-        while power < n:
-            power *= self.scale_base
-            e += 1
-        if power == n:
-            return self.factor * e
-        # also handle scale being a power of count
-        n, e = self.scale_base, 0
-        power = 1
-        while power < n:
-            power *= self.count_base
-            e += 1
-        if power == n:
-            return self.factor / e
-        return None
+        """The exact value; None when the log ratio is irrational."""
+        r = _log_ratio(self.count_base, self.scale_base)
+        return None if r is None else self.factor * r
+
+
+def _log_ratio(a: int, b: int) -> Optional[Fraction]:
+    """log a / log b for a >= 1, b >= 2, by Euclid on the exponents; it is
+    rational exactly when a and b are powers of one integer."""
+    if a == 1:
+        return Fraction(0)
+    if a % b == 0:
+        r = _log_ratio(a // b, b)
+        return None if r is None else 1 + r
+    if a < b:
+        r = _log_ratio(b, a)
+        return None if r is None else 1 / r
+    return None
 
 
 def hausdorff_alpha(descriptor: FieldDescriptor,
@@ -302,19 +299,10 @@ def digit_set_analysis(p: int, digit_set: Sequence[int], depth: int,
     )
 
 
-def _lift_center(ball: BallSpec, prec: int) -> FieldElement:
-    """The canonical center as an exact element at higher precision (its
-    truncated digits, padded with zeros, are a genuine member of the ball)."""
-    c = ball.center
-    if prec <= c.abs_precision:
-        return c
-    return FieldElement(c.descriptor, c.valuation, c.unit, prec)
-
-
 def _certify_similarity(f: TruncatedSeries, ball: BallSpec
                         ) -> Optional[Tuple[BallSpec, int]]:
     j = ball.radius_exponent
-    c = _lift_center(ball, max(f.working_precision, j + 1))
+    c = as_exact(ball.center, max(f.working_precision, j + 1))
     enclosing = min(c.valuation_lower_bound, j)
     f.require_radius(enclosing)
     # truncate raises PrecisionExhausted when eval falls short

@@ -23,7 +23,7 @@ from .errors import (
     TailInconclusive,
     UndecidedMultipleRoot,
 )
-from .localfield import FieldElement
+from .localfield import FieldElement, as_exact as _as_exact
 from .series import TruncatedSeries
 from .valuation import Magnitude, Valuation, is_infinite
 
@@ -133,16 +133,6 @@ def _hypotheses(problem: HenselProblem, state: _ProblemState) -> HypothesisRepor
 
 def check_hypotheses(problem: HenselProblem) -> HypothesisReport:
     return _hypotheses(problem, _problem_state(problem))
-
-
-def _as_exact(x: FieldElement, prec: int) -> FieldElement:
-    """x taken as an exact point known modulo q^prec at least: its unit
-    padded with zero digits."""
-    if prec <= x.abs_precision:
-        return x
-    if x.is_zero_to_precision:
-        return FieldElement.zero_to_precision(x.descriptor, prec)
-    return FieldElement(x.descriptor, x.valuation, x.unit, prec)
 
 
 def _solve(problem: HenselProblem, state: _ProblemState, newton: bool,

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import DomainError, InsufficientPrecision
 from .localfield import FieldDescriptor, FieldElement
-from .valuation import INFINITY, Magnitude, Valuation
+from .valuation import Magnitude, Valuation
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,17 @@ class TruncatedSeries:
         if not self.admits_radius(m):
             raise DomainError(
                 f"radius exponent {m} inadmissible for this tail profile")
+
+    def _require_argument(self, x: FieldElement) -> int:
+        """x's valuation lower bound m, once x is checked to lie in this
+        series' field and convergence domain."""
+        if x.descriptor != self.descriptor:
+            raise ValueError("mismatched field descriptors")
+        m = x.valuation_lower_bound
+        if not self.admits_radius(m):
+            raise DomainError(
+                f"argument magnitude q^(-{m}) outside the convergence domain")
+        return m
 
     def _zero_coeff(self) -> FieldElement:
         return FieldElement.zero_to_precision(self.descriptor, self.working_precision)
@@ -138,16 +149,9 @@ class TruncatedSeries:
         term is certified to have valuation >= target_prec.  Callers that
         need the full target check the result's abs_precision.
 
-        Horner's rule runs as one kernel on (valuation, unit,
-        abs_precision) ints (`_horner`), which builds no element until
-        the result."""
-        if x.descriptor != self.descriptor:
-            raise ValueError("mismatched field descriptors")
-        m = x.valuation_lower_bound
-        if not self.admits_radius(m):
-            raise DomainError(
-                f"argument magnitude q^(-{m}) outside the convergence domain")
-        cut = self._cutoff(m, target_prec)
+        Horner's rule runs on (valuation, unit, abs_precision) triples
+        (`_horner`), which builds no element until the result."""
+        cut = self._cutoff(self._require_argument(x), target_prec)
         f = self.materialized(cut)
         if cut == 0:
             return FieldElement.zero_to_precision(self.descriptor, target_prec)
@@ -287,54 +291,18 @@ class TruncatedSeries:
 def _horner(K, coeffs: Sequence[FieldElement],
             x: FieldElement) -> Tuple[Valuation, int, int]:
     """sum_j coeffs[j] x^j as (valuation, unit, abs_precision), by
-    total <- total * x + coeffs[j] from the top, on the units through
-    the kind's kernels K.  Each step restates FieldElement.__mul__ and
-    then __add__ exactly, zero-to-precision cases included, so the
-    triple is the one the same loop over elements returns."""
-    mul, add, truncate, strip = K.mul, K.add, K.truncate, K.strip
-    xv, xu = x.valuation, x.unit
-    x_zero, x_low, xk = xv is INFINITY, x.valuation_lower_bound, x.relative_precision
+    total <- total * x + coeffs[j] from the top, on triples through the
+    kind's product and sum rules K.mul3 and K.add3.  FieldElement's `*`
+    and `+` apply the same two rules, so the triple is the one the same
+    loop over elements returns."""
+    mul3, add3 = K.mul3, K.add3
+    xv, xu, xN = x.valuation, x.unit, x.abs_precision
     top_down = reversed(coeffs)
     top = next(top_down)
     v, u, N = top.valuation, top.unit, top.abs_precision
     for c in top_down:
-        # total * x: a zero factor gives zero at the sum of the valuation
-        # lower bounds; units multiply at the smaller relative precision
-        if x_zero or v is INFINITY:
-            N = (N if v is INFINITY else v) + x_low
-            v, u = INFINITY, 0
-        else:
-            k = N - v
-            if xk < k:
-                k = xk
-            v += xv
-            u = mul(u, xu, k)
-            N = v + k
-        # + c, known to the smaller absolute precision n
-        cv, cN = c.valuation, c.abs_precision
-        n = cN if cN < N else N
-        # (a zero summand truncates the other; truncating a unit to its
-        # own digit count keeps it)
-        if v is INFINITY:
-            if cv is INFINITY or cv >= n:
-                v, u = INFINITY, 0
-            else:
-                v, u = cv, truncate(c.unit, n - cv)
-        elif cv is INFINITY:
-            if v >= n:
-                v, u = INFINITY, 0
-            else:
-                u = truncate(u, n - v)
-        else:
-            # both valuations are below their precisions, so v0 < n
-            v0 = v if v < cv else cv
-            w = add(u, v - v0, c.unit, cv - v0, n - v0)
-            if w:
-                t, u = strip(w)
-                v = v0 + t
-            else:
-                v, u = INFINITY, 0
-        N = n
+        v, u, N = mul3(v, u, N, xv, xu, xN)
+        v, u, N = add3(v, u, N, c.valuation, c.unit, c.abs_precision)
     return v, u, N
 
 

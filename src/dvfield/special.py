@@ -142,12 +142,7 @@ class _Exponential(TruncatedSeries):
 
     def eval(self, x: FieldElement, target_prec: int) -> FieldElement:
         """E(x) modulo q^min(target_prec, x.abs_precision)."""
-        if x.descriptor != self.descriptor:
-            raise ValueError("mismatched field descriptors")
-        m = x.valuation_lower_bound
-        if not self.admits_radius(m):
-            raise DomainError(
-                f"argument magnitude q^(-{m}) outside the convergence domain")
+        self._require_argument(x)
         return _exp(x, target_prec)
 
     def derivative(self) -> "TruncatedSeries":

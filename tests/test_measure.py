@@ -211,11 +211,15 @@ class TestDimension:
         dv = DimensionValue(2, 3)
         assert dv.rational_value() is None
         assert 0.63 < dv.approx() < 0.631
+        assert DimensionValue(12, 18).rational_value() is None
 
     def test_power_ratios_are_exact(self):
         assert DimensionValue(9, 3).rational_value() == 2
         assert DimensionValue(3, 9).rational_value() == Fraction(1, 2)
         assert DimensionValue(1, 7).rational_value() == 0
+        # powers of a common base, neither a power of the other
+        assert DimensionValue(4, 8).rational_value() == Fraction(2, 3)
+        assert DimensionValue(8, 4).rational_value() == Fraction(3, 2)
 
 
 class TestDigitSets:
