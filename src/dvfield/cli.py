@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -16,7 +17,7 @@ from typing import List, Optional
 # `dvfield.cli.<name>` still reaches every package name, read from the
 # submodule that binds it at each access.
 from . import _resolve as __getattr__  # noqa: F401
-from .errors import ParseError, UltrametricError
+from .errors import DomainError, ParseError, UltrametricError
 from .localfield import (FieldDescriptor, FieldElement, Qp, invert_one_minus,
                          laurent_field)
 from .textio import (parse_ball, parse_element, parse_rational, parse_series,
@@ -211,6 +212,9 @@ def _cmd_dim(args) -> int:
         except ValueError:
             raise ParseError("digit set must be comma-separated integers",
                              0) from None
+        count, limit = len(set(digits)), sys.get_int_max_str_digits()
+        if count > 1 and limit and args.depth * math.log10(count) >= limit:
+            raise DomainError(f"{count}^{args.depth} balls: over {limit} decimal digits")
         if args.beta_log is not None:
             beta = DimensionValue(args.beta_log, args.prime)
         else:

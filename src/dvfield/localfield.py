@@ -43,14 +43,11 @@ def _arith(kind: FieldKind, q: int):
 class FieldDescriptor:
     kind: FieldKind
     q: int
-    rho1_exponent: int = 1
     # the kind's kernels, shared by every descriptor of the same field
     arith: PadicArith | LaurentArith = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_prime(self.q)
-        if self.rho1_exponent < 1:
-            raise ValueError("rho1_exponent must be positive")
         object.__setattr__(self, "arith", _arith(self.kind, self.q))
 
     @property
@@ -59,12 +56,12 @@ class FieldDescriptor:
         return str(self.q) if self.kind is FieldKind.PADIC else "T"
 
 
-def Qp(p: int, rho1_exponent: int = 1) -> FieldDescriptor:
-    return FieldDescriptor(FieldKind.PADIC, p, rho1_exponent)
+def Qp(p: int) -> FieldDescriptor:
+    return FieldDescriptor(FieldKind.PADIC, p)
 
 
-def laurent_field(q: int, rho1_exponent: int = 1) -> FieldDescriptor:
-    return FieldDescriptor(FieldKind.LAURENT, q, rho1_exponent)
+def laurent_field(q: int) -> FieldDescriptor:
+    return FieldDescriptor(FieldKind.LAURENT, q)
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,9 +202,6 @@ class FieldElement:
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         self._check_same(other)
-        if other.is_zero_to_precision:
-            raise DivisionByIndistinguishableZero(
-                "divisor indistinguishable from zero at its precision")
         return self * other.inverse()
 
     def mul_integer(self, n: int) -> "FieldElement":
@@ -297,17 +291,13 @@ def as_exact(x: FieldElement, prec: int) -> FieldElement:
 
 
 def invert_one_minus(x: FieldElement, prec: int) -> FieldElement:
-    """(1 - x)^(-1) for v(x) >= 1, by summing the geometric series until
-    the next term has valuation >= prec."""
+    """(1 - x)^(-1) modulo q^prec for v(x) >= 1: one Newton inverse of the
+    unit 1 - x; zero to precision prec when prec <= 0."""
     if x.valuation_lower_bound < 1:
         raise DomainError("invert_one_minus requires valuation(x) >= 1")
-    one = FieldElement.one(x.descriptor, prec)
-    total = one
-    term = one
-    while term.valuation_lower_bound < prec:
-        term = (term * x).truncate(min(prec, term.abs_precision + x.valuation_lower_bound))
-        total = total + term
-    return total.truncate(prec)
+    if prec <= 0:
+        return FieldElement.zero_to_precision(x.descriptor, prec)
+    return (FieldElement.one(x.descriptor, prec) - x).inverse().truncate(prec)
 
 
 def laurent_invert(f: FieldElement, prec: int) -> FieldElement:

@@ -192,13 +192,12 @@ def _log_ratio(a: int, b: int) -> Optional[Fraction]:
 
 def hausdorff_alpha(descriptor: FieldDescriptor,
                     snowflake_a: Union[int, Fraction] = 1) -> DimensionValue:
-    """The alpha with (ball radius ratio)^(-alpha) = residue field size,
-    divided by the snowflake exponent a: alpha = 1/(a * rho1_exponent)."""
+    """The alpha with (ball radius ratio)^(-alpha) = residue field size
+    for the snowflaked metric d^a, a > 0: alpha = 1/a."""
     a = Fraction(snowflake_a)
     if a <= 0:
         raise DomainError("snowflake exponent must be positive")
-    q = descriptor.q
-    return DimensionValue(q, q, Fraction(1) / (a * descriptor.rho1_exponent))
+    return DimensionValue(descriptor.q, descriptor.q, 1 / a)
 
 
 def _beta_parts(p: int, beta) -> Tuple[int, int, int]:
@@ -252,7 +251,10 @@ class ContentEstimate:
         log_content = self.depth * (math.log(self.count_base)
                                     - Fraction(self.beta_num, self.beta_den)
                                     * math.log(self.beta_base))
-        return math.exp(log_content)
+        try:
+            return math.exp(log_content)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)

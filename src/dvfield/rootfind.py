@@ -252,9 +252,7 @@ def fixed_point_solve(problem: HenselProblem) -> RootCertificate:
     where t = |a|^(-1) |z - f(x0)|."""
     state = _problem_state(problem)
     _require_target(problem, state)
-    e_fp = state.fp0.valuation
-    e_t = state.d0.valuation_lower_bound - e_fp
-    if not (e_t + state.e_m2 > e_fp):
+    if not _hypotheses(problem, state).h_quadratic:
         raise ContractionFails(
             "t * M2 >= |f'(x0)|: the auxiliary map is not a contraction")
     return _solve(problem, state, newton=False, scheduled=False)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Tuple
 
 from .errors import DomainError
 from .localfield import FieldDescriptor, FieldElement, FieldKind
@@ -44,35 +43,7 @@ def _require_padic(descriptor: FieldDescriptor) -> None:
             "in the residue characteristic")
 
 
-def _inverse_factorials(descriptor: FieldDescriptor, count: int,
-                        prec: int) -> Tuple[FieldElement, ...]:
-    """1/j! for j < count, each known modulo p^prec (prec >= 1), with one
-    modular inversion.  Write j! = p^v_j F_j, with v_j Legendre's count
-    of p in j! and F_j the product of the p-free parts free_i of i <= j;
-    1/j! has valuation -v_j and unit inv(F_j) modulo p^(prec + v_j).  The
-    last F_j is built as a running product and inverted; walking down with
-    inv(F_(j-1)) = inv(F_j) * free_j modulo p^(prec + v_(j-1)), a modulus
-    that only shrinks, gives every other unit."""
-    p, K = descriptor.q, descriptor.arith
-    v = factorial_valuation(p, count - 1)
-    m = p ** (prec + v)
-    F = 1
-    for j in range(2, count):
-        F = F * K.strip(j)[1] % m
-    inv = K.inv(F, prec + v)
-    out = [None] * count
-    for j in range(count - 1, -1, -1):
-        out[j] = FieldElement(descriptor, -v, inv, prec)
-        if j:
-            t, free = K.strip(j)
-            if t:
-                v -= t
-                m //= p ** t
-            inv = inv * free % m
-    return tuple(out)
-
-
-def _split(x: int, a: int, b: int, M: int) -> Tuple[int, int, int]:
+def _split(x: int, a: int, b: int, M: int) -> tuple[int, int, int]:
     """(P, Q, T) modulo M for the terms j in [a, b), 1 <= a < b: P =
     x^(b-a), Q = a (a+1) ... (b-1) and T with T / Q = sum_{a <= j < b}
     x^(j-a+1) / (a (a+1) ... j).  Halves merge as P = P1 P2, Q = Q1 Q2,
@@ -159,7 +130,7 @@ def exp_series(descriptor: FieldDescriptor, target_prec: int) -> TruncatedSeries
     bound at j = 2K - 1, m (j - k) - (j - 1)/(p - 1), is at least 0 >=
     v(a_k).  So `sup_exponent(m, k)` and `strassmann_bound` from index 0
     or 1 get from these the result a longer table gives.  The factory
-    builds further coefficients."""
+    builds them and every further coefficient."""
     _require_padic(descriptor)
     p = descriptor.q
     slope = Fraction(-1, p - 1)
@@ -177,7 +148,7 @@ def exp_series(descriptor: FieldDescriptor, target_prec: int) -> TruncatedSeries
     # edge, which is less than _STORED only for the smallest targets
     count = max(2, math.ceil((Fraction(target_prec) - intercept - slope)
                              / (slope + m)) + 1)
-    coeffs = _inverse_factorials(descriptor, min(count, _STORED), coeff_prec)
+    coeffs = tuple(factory(j) for j in range(min(count, _STORED)))
     tail = TailProfile(start=1, slope=slope, intercept=intercept)
     return _Exponential(descriptor, coeffs, tail, factory)
 
@@ -210,6 +181,9 @@ def log_solve(z: FieldElement, target_prec: int) -> FieldElement:
     if (z - one).valuation_lower_bound < e_min(p):
         raise DomainError(
             f"logarithm undefined: need valuation(z - 1) >= {e_min(p)}")
+    if target_prec <= e_min(p):
+        # log is an isometry on the domain: v(log z) = v(z - 1) >= e_min
+        return FieldElement.zero_to_precision(z.descriptor, target_prec)
     # digits of z beyond the target cannot change x modulo q^target_prec
     z = z.truncate(min(z.abs_precision, target_prec))
     f = exp_series(z.descriptor, target_prec)

@@ -30,12 +30,20 @@ if TYPE_CHECKING:
 _RATIONAL_RE = re.compile(r"^\s*(-?\d+)\s*(?:/\s*(\d+)\s*)?$")
 
 
+def _int(m: re.Match, group: int | str, offset: int = 0) -> int:
+    """int() of m's group; a numeral too long for int() is a ParseError."""
+    try:
+        return int(m.group(group))
+    except ValueError:
+        raise ParseError("integer literal too long", offset + m.start(group)) from None
+
+
 def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.match(text)
     if not m:
         raise ParseError(f"not a rational literal: {text!r}", 0)
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = _int(m, 1)
+    den = _int(m, 2) if m.group(2) else 1
     if den == 0:
         raise ParseError("zero denominator", text.index("/") + 1)
     return Fraction(num, den)
@@ -59,7 +67,7 @@ def parse_element(text: str, descriptor: FieldDescriptor,
     v = 0
     prefix = re.match(rf"{_base_re(descriptor)}\^(-?\d+)\s*\*\s*", s)
     if prefix:
-        v = int(prefix.group(1))
+        v = _int(prefix, 1, offset)
         offset += prefix.end()
         s = s[prefix.end():]
 
@@ -89,15 +97,15 @@ def parse_element(text: str, descriptor: FieldDescriptor,
         if not m:
             raise ParseError("unrecognized term", offset + pos)
         if m.group(1) is not None:
-            rel_prec = int(m.group(1))
+            rel_prec = _int(m, 1, offset)
         else:
             if m.group(2) is not None:
-                d = int(m.group(2))
-                e = int(m.group(3)) if m.group(3) else 1
+                d = _int(m, 2, offset)
+                e = _int(m, 3, offset) if m.group(3) else 1
             elif m.group(5) is not None:
-                d, e = int(m.group(5)), 0
+                d, e = _int(m, 5, offset), 0
             else:
-                d, e = 1, int(m.group(4)) if m.group(4) else 1
+                d, e = 1, _int(m, 4, offset) if m.group(4) else 1
             if d >= q:
                 raise ParseError(f"digit {d} out of range for base {q}",
                                  offset + pos)
@@ -210,12 +218,12 @@ def parse_series(text: str, descriptor: FieldDescriptor,
             if m.group("coef") is not None:
                 c = parse_rational(m.group("coef"))
                 if m.end("coef") != m.end():            # had *X part
-                    e = int(m.group("e1")) if m.group("e1") else 1
+                    e = _int(m, "e1") if m.group("e1") else 1
                 else:
                     e = 0
             else:
                 c = Fraction(1)
-                e = int(m.group("e2")) if m.group("e2") else 1
+                e = _int(m, "e2") if m.group("e2") else 1
             if tail_exp:
                 raise ParseError("terms after tail marker", pos)
             coeffs[e] = coeffs.get(e, Fraction(0)) + sign * c

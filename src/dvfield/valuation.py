@@ -184,12 +184,6 @@ class Magnitude:
         self._check(other)
         return other.exponent <= self.exponent
 
-    def __gt__(self, other: "Magnitude") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Magnitude") -> bool:
-        return other <= self
-
     def __repr__(self):
         if self.is_zero:
             return f"Magnitude(0, base={self.base_q})"

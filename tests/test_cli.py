@@ -1,5 +1,8 @@
 import json
+import shlex
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,22 @@ from dvfield.textio import (parse_ball, parse_element, parse_rational,
 
 Q5 = Qp(5)
 L3 = laurent_field(3)
+
+
+def readme_examples():
+    """(argv, printed value) of each `dvfield ... # value` line in the
+    README's command-line block."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    for line in block.splitlines():
+        if line.startswith("dvfield ") and "#" in line:
+            command, value = line.split("#", 1)
+            yield shlex.split(command)[1:], value.strip()
+
+
+README_EXAMPLES = list(readme_examples())
+# one digit more than int() converts
+HUGE = "9" * (sys.get_int_max_str_digits() + 1)
 
 
 def out_of(capsys):
@@ -55,6 +74,21 @@ class TestTextIO:
         assert f.coeffs[0].agrees_with(
             FieldElement.from_rational(Q5, -2, 1, 8), 8)
         assert f.coeffs[1].is_zero_to_precision
+
+    @pytest.mark.parametrize("parse, text, position", [
+        (parse_rational, HUGE, 0),
+        (parse_rational, f"1/{HUGE}", 2),
+        (lambda t: parse_element(t, Q5, 8), f" 5^{HUGE} * 1 + O(5^2)", 3),
+        (lambda t: parse_element(t, Q5, 8), f"1 + O(5^{HUGE})", 8),
+        (lambda t: parse_element(t, Q5, 8), f"1 + {HUGE}*5 + O(5^2)", 4),
+        (lambda t: parse_element(t, Q5, 8), f"1 + 1*5^{HUGE}", 8),
+        (lambda t: parse_series(t, Q5, 8), f"1 + X^{HUGE}", 6),
+    ], ids=["numerator", "denominator", "shift", "precision", "digit",
+            "exponent", "series-exponent"])
+    def test_huge_integer_literal_is_a_parse_error(self, parse, text, position):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == position
 
     def test_series_with_exp_tail(self):
         f = parse_series("1 + X + tail:exp", Q5, 8)
@@ -208,3 +242,46 @@ class TestJsonAndErrors:
         assert run(argv) == 1
         err = out_of(capsys)[1]
         assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, value", README_EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in README_EXAMPLES])
+def test_readme_example(capsys, argv, value):
+    assert run(argv) == 0
+    assert out_of(capsys)[0] == value
+
+
+def test_readme_lists_examples():
+    assert len(README_EXAMPLES) >= 7
+
+
+@pytest.mark.parametrize("argv, code, printed", [
+    (["log", "-p", "2", "-N", "1", "1 + 1*2^2 + O(2^8)"], 0, "O(2^1)"),
+    (["log", "-p", "3", "-N", "0", "1 + 1*3 + O(3^8)"], 0, "O(3^0)"),
+    (["log", "-p", "5", "-N", "-3", "1 + 1*5 + O(5^8)"], 0, "O(5^-3)"),
+    (["dim", "-p", "3", "digits", "--digits", "0,2", "--depth", "20000"], 2,
+     "DomainError: 2^20000 balls: over"),
+    (["dim", "-p", "3", "digits", "--digits", "0,2", "--depth", "20000",
+      "--json"], 2, "DomainError"),
+    (["dim", "-p", "3", "digits", "--digits", "0,2", "--depth", "2000",
+      "--beta", "0"], 0, "content~inf (vs 1: +1)"),
+    (["dim", "-p", "3", "digits", "--digits", "0,2", "--depth", "2000",
+      "--beta", "0", "--json"], 0, '"content_approx": Infinity'),
+    (["val", "-p", "3", HUGE], 1, "parse error at position 0"),
+    (["elem", "-p", "3", f"1 + O(3^{HUGE})"], 1, "parse error at position 8"),
+])
+def test_refusals_and_edge_answers_do_not_raise(capsys, argv, code, printed):
+    assert run(argv) == code
+    out, err = out_of(capsys)
+    assert printed in (out if code == 0 else err)
+
+
+def test_ball_count_digit_limit_is_exact(capsys):
+    # 10^(L-1) has L decimal digits, the most int-to-str converts; 10^L
+    # has one more
+    L = sys.get_int_max_str_digits()
+    digits = ",".join(str(d) for d in range(10))
+    argv = ["dim", "-p", "11", "digits", "--digits", digits, "--depth"]
+    assert run(argv + [str(L - 1)]) == 0
+    assert out_of(capsys)[0].startswith("balls=1" + "0" * (L - 1) + " ")
+    assert run(argv + [str(L)]) == 2

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 
 from dvfield.errors import (DomainError, InsufficientPrecision,
                             PrecisionExhausted)
-from dvfield.localfield import FieldElement, Qp, laurent_field, FieldDescriptor, FieldKind
+from dvfield.localfield import FieldElement, Qp, laurent_field
 from dvfield import measure
 from dvfield.measure import (BallRelation, BallSpec, ContentEstimate,
                              DimensionValue, admissible_ball, ball_relation,
@@ -203,10 +204,6 @@ class TestDimension:
     def test_snowflake_halves(self):
         assert hausdorff_alpha(Q5, 2).rational_value() == Fraction(1, 2)
 
-    def test_coarser_ball_chain(self):
-        desc = FieldDescriptor(FieldKind.PADIC, 5, rho1_exponent=2)
-        assert hausdorff_alpha(desc).rational_value() == Fraction(1, 2)
-
     def test_irrational_ratio_has_no_rational_value(self):
         dv = DimensionValue(2, 3)
         assert dv.rational_value() is None
@@ -243,6 +240,13 @@ class TestDigitSets:
         assert low.content_estimate.compare_to_one() == -1
         high = digit_set_analysis(3, [0, 2], 6, Fraction(1, 2))
         assert high.content_estimate.compare_to_one() == 1
+
+    def test_content_approx_saturates(self):
+        # beyond the float range the estimate reads inf, below it 0.0
+        huge = digit_set_analysis(3, [0, 2], 2000, 0).content_estimate
+        assert huge.compare_to_one() == 1 and huge.approx() == math.inf
+        tiny = digit_set_analysis(3, [0], 2000, 1).content_estimate
+        assert tiny.compare_to_one() == -1 and tiny.approx() == 0.0
 
     def test_depth_monotonicity(self):
         shallow = digit_set_analysis(3, [0, 2], 2, Fraction(1)).content_estimate

@@ -10,8 +10,8 @@ from dvfield.errors import DomainError, PrecisionExhausted
 from dvfield.localfield import FieldElement, Qp, laurent_field
 from dvfield.rootfind import strassmann_bound
 from dvfield.series import TruncatedSeries
-from dvfield.special import (_inverse_factorials, e_min, exp_eval, exp_functional_check,
-                              exp_series, log_solve)
+from dvfield.special import (e_min, exp_eval, exp_functional_check, exp_series,
+                              log_solve)
 from dvfield.valuation import factorial_valuation, vp
 
 Q2 = Qp(2)
@@ -63,20 +63,6 @@ class TestCoefficients:
                 E.eval(x, N)
                 D.eval(x, N)
                 monkeypatch.undo()
-
-    @pytest.mark.parametrize("p", (2, 3, 5, 7))
-    def test_one_inversion_matches_the_per_index_inverses(self, p):
-        """The table built with one inversion against the frozen loop of
-        one pow per index: identical (valuation, unit, abs_precision)."""
-        def triples(coeffs):
-            return [(c.valuation, c.unit, c.abs_precision) for c in coeffs]
-        F = Qp(p)
-        for count in (1, 2, 3, p, p + 1, p * p, p * p + 1, p ** 3 + 2, 100):
-            for prec in (1, 2, 5, 40):
-                assert triples(_inverse_factorials(F, count, prec)) == triples(
-                    model.inverse_factorials(F, count, prec)), (count, prec)
-        assert triples(_inverse_factorials(F, 2001, 30)) == triples(
-            model.inverse_factorials(F, 2001, 30))
 
     def test_tail_minorant_certified_far_out(self):
         for p in (2, 3, 5, 7):
@@ -346,6 +332,19 @@ class TestLog:
             assert root == log_solve(coarse, 30)
             assert root.agrees_with(x, 30)
         assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_targets_up_to_the_domain_edge_are_zero(self, p):
+        """log is an isometry on the domain, v(log z) = v(z - 1) >= e_min,
+        so to a target at most e_min the logarithm is zero to the target."""
+        F = Qp(p)
+        for a in (0, 1, p - 1, p + 1):
+            z = exp_eval(el(F, a * p ** e_min(p), 1, 12), 12)
+            finer = log_solve(z, e_min(p) + 4)
+            for N in range(-3, e_min(p) + 1):
+                x = log_solve(z, N)
+                assert x == FieldElement.zero_to_precision(F, N), (a, N)
+                assert finer.truncate(N) == x
 
     def test_domain_requires_one_plus_small(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -66,3 +67,16 @@ def test_magnitude_algebra():
         z.inverse()
     with pytest.raises(ValueError):
         small * Magnitude(7, 1)
+
+
+def test_magnitude_order_is_reflected_and_refuses_other_types():
+    exps = (-2, 0, 3, INFINITY)
+    for a in exps:
+        for b in exps:
+            x, y = Magnitude(5, a), Magnitude(5, b)
+            assert (x < y, x <= y, x > y, x >= y) == (b < a, b <= a, a < b, a <= b)
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(Magnitude(3, 1), 5)
+        with pytest.raises(TypeError):
+            op(5, Magnitude(3, 1))
