@@ -64,7 +64,7 @@ _EXPORTS = {
         "strassmann_bound",
     ),
     "series": ("TailProfile", "TruncatedSeries", "polynomial"),
-    "special": ("e_min", "exp_eval", "exp_functional_check", "exp_series", "log_solve"),
+    "special": ("e_min", "exp_eval", "exp_series", "log_solve"),
     "valuation": (
         "INFINITY",
         "Magnitude",

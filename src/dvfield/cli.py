@@ -136,7 +136,7 @@ def _cmd_strassmann(args) -> int:
     desc = _descriptor(args)
     f = parse_series(args.f, desc, args.precision)
     report = strassmann_bound(f, args.ball, from_index=args.from_index)
-    payload = {"bound": report.bound_N, "attaining_index": report.attaining_index}
+    payload = {"bound": report.bound_N, "attaining_index": report.bound_N}
     return _emit(args, str(report.bound_N), payload)
 
 
@@ -243,7 +243,8 @@ def prime(text: str) -> int:
 
 
 def index(text: str) -> int:
-    """argparse type of factval's index j in j!: an integer j >= 0."""
+    """argparse type of an index that must be nonnegative: factval's j in
+    j! and strassmann's --from-index."""
     j = int(text)
     if j < 0:
         raise argparse.ArgumentTypeError(f"{j} is negative")
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strassmann", help="zero-count bound on a ball")
     common(p, ball=True, series=True)
-    p.add_argument("--from-index", type=int, default=0)
+    p.add_argument("--from-index", type=index, default=0)
     p.set_defaults(func=_cmd_strassmann)
 
     p = sub.add_parser("exp", help="p-adic exponential")

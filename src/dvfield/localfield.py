@@ -252,14 +252,6 @@ class FieldElement:
 
     # -- residue structure -------------------------------------------
 
-    def residue(self) -> int:
-        """Image in the residue field Z/qZ (p-adic) or F_q (Laurent)."""
-        if self.valuation_lower_bound < 0:
-            raise DomainError("residue requires valuation >= 0")
-        if self.is_zero_to_precision or self.valuation > 0:
-            return 0
-        return self.descriptor.arith.low(self.unit)
-
     def reduce_mod(self, j: int) -> int:
         """Canonical representative in [0, q^j): the image in Z/q^jZ for
         Q_p, the first j coefficients packed in base q for F_q((T))."""
@@ -304,9 +296,6 @@ def laurent_invert(f: FieldElement, prec: int) -> FieldElement:
     """Multiplicative inverse in F_q((T)); f * result = 1 + O(T^prec)."""
     if f.descriptor.kind is not FieldKind.LAURENT:
         raise DomainError("laurent_invert expects a Laurent series element")
-    if f.is_zero_to_precision:
-        raise DivisionByIndistinguishableZero(
-            "input indistinguishable from zero at its precision")
     inv = f.inverse()
     target = prec + inv.valuation
     if inv.abs_precision < target:

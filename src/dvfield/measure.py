@@ -48,12 +48,6 @@ class BallSpec:
         _require_precision(center, radius_exponent)
         return cls(center.truncate(radius_exponent), radius_exponent)
 
-    @classmethod
-    def from_open(cls, center: FieldElement, radius_exponent: int) -> "BallSpec":
-        """The open ball of radius q^(-j) is the closed ball of radius
-        q^(-(j+1))."""
-        return cls.make(center, radius_exponent + 1)
-
     def measure(self) -> RationalMeasure:
         return Fraction(self.descriptor.q) ** (-self.radius_exponent)
 
@@ -230,22 +224,6 @@ class ContentEstimate:
         if lhs == rhs:
             return 0
         return 1 if lhs > rhs else -1
-
-    def equals_one(self) -> bool:
-        return self.compare_to_one() == 0
-
-    def compare(self, other: "ContentEstimate") -> int:
-        """Exact three-way comparison of two estimates for the same set
-        and exponent at different depths."""
-        key = (self.count_base, self.scale_p, self.beta_num, self.beta_den,
-               self.beta_base)
-        if key != (other.count_base, other.scale_p, other.beta_num,
-                   other.beta_den, other.beta_base):
-            raise ValueError("estimates are not comparable")
-        sign = self.compare_to_one()
-        if self.depth == other.depth:
-            return 0
-        return sign if self.depth > other.depth else -sign
 
     def approx(self) -> float:
         log_content = self.depth * (math.log(self.count_base)

@@ -60,7 +60,6 @@ class RootCertificate:
 @dataclass(frozen=True)
 class StrassmannReport:
     bound_N: int
-    attaining_index: int
 
 
 @dataclass(frozen=True)
@@ -260,9 +259,11 @@ def fixed_point_solve(problem: HenselProblem) -> RootCertificate:
 
 def strassmann_bound(f: TruncatedSeries, m: int, from_index: int = 0) -> StrassmannReport:
     """N = the largest index attaining min_j (v(a_j) + m j) over j >=
-    from_index.  The series has at most N zeros in the closed ball of
-    radius q^(-m); computed from from_index = 1 the same N bounds the
-    solution count of f(x) = z for every z."""
+    from_index, for from_index >= 0.  The series has at most N zeros in
+    the closed ball of radius q^(-m); computed from from_index = 1 the
+    same N bounds the solution count of f(x) = z for every z."""
+    if from_index < 0:
+        raise ValueError("from_index must be nonnegative")
     f.require_radius(m)
     best: Optional[int] = None
     attaining = -1
@@ -289,7 +290,7 @@ def strassmann_bound(f: TruncatedSeries, m: int, from_index: int = 0) -> Strassm
                    if j0 >= f.stored_len else None)
         if tail_lb is None or not (is_infinite(tail_lb) or tail_lb > best):
             raise TailInconclusive("tail bound does not dominate strictly")
-    return StrassmannReport(bound_N=attaining, attaining_index=attaining)
+    return StrassmannReport(bound_N=attaining)
 
 
 def enumerate_roots(f: TruncatedSeries, m: int, scan_depth: int = 4,

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import DomainError, InsufficientPrecision
 from .localfield import FieldDescriptor, FieldElement
-from .valuation import Magnitude, Valuation
+from .valuation import INFINITY, Magnitude, Valuation
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,8 @@ class TruncatedSeries:
             candidates.append(math.ceil(
                 self.tail.slope * j0 + self.tail.intercept) + m * (j0 - k))
         if not candidates:
-            return Magnitude.zero(self.descriptor.q).exponent
+            return INFINITY
         return min(candidates)
-
-    def sup_term(self, m: int, k: int) -> Magnitude:
-        return Magnitude(self.descriptor.q, self.sup_exponent(m, k))
 
     # -- calculus ---------------------------------------------------------
 
@@ -266,13 +263,6 @@ class TruncatedSeries:
         return TruncatedSeries(self.descriptor, coeffs, tail)
 
     # -- analytic criteria --------------------------------------------------
-
-    def convergence_threshold(self) -> Optional[int]:
-        """Least valuation e with v(x) >= e implying term valuations tend
-        to INFINITY; None for polynomials (every x is admissible)."""
-        if self.tail is None:
-            return None
-        return math.floor(-self.tail.slope) + 1
 
     def isometry_criterion(self, m: int, y: FieldElement,
                            separation_exponent: int) -> Tuple[bool, Magnitude]:

@@ -163,14 +163,6 @@ def exp_eval(x: FieldElement, target_prec: int) -> FieldElement:
     return _exp(x, target_prec).truncate(target_prec)
 
 
-def exp_functional_check(x: FieldElement, y: FieldElement,
-                         target_prec: int) -> bool:
-    """Whether E(x + y) = E(x) E(y) modulo q^target_prec."""
-    lhs = exp_eval(x + y, target_prec)
-    rhs = (exp_eval(x, target_prec) * exp_eval(y, target_prec)).truncate(target_prec)
-    return lhs.agrees_with(rhs, target_prec)
-
-
 def log_solve(z: FieldElement, target_prec: int) -> FieldElement:
     """The unique x in the convergence domain with E(x) = z modulo
     q^target_prec, found by solving E(x) = z from x0 = 0 where E(0) = 1

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 from .errors import ParseError
-from .localfield import FieldDescriptor, FieldElement, FieldKind
+from .localfield import FieldDescriptor, FieldElement
 
 if TYPE_CHECKING:
     from .measure import BallSpec
@@ -55,7 +55,6 @@ def _base_re(descriptor: FieldDescriptor) -> str:
 
 def parse_element(text: str, descriptor: FieldDescriptor,
                   default_prec: int) -> FieldElement:
-    base = descriptor.base_token
     q = descriptor.q
     s = text.strip()
     if _RATIONAL_RE.match(s):
@@ -216,7 +215,10 @@ def parse_series(text: str, descriptor: FieldDescriptor,
             tail_exp = True
         else:
             if m.group("coef") is not None:
-                c = parse_rational(m.group("coef"))
+                try:
+                    c = parse_rational(m.group("coef"))
+                except ParseError as exc:
+                    raise ParseError(str(exc), exc.position + m.start("coef")) from None
                 if m.end("coef") != m.end():            # had *X part
                     e = _int(m, "e1") if m.group("e1") else 1
                 else:

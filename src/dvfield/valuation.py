@@ -134,8 +134,8 @@ def factorial_valuation(p: int, j: int) -> int:
 class Magnitude:
     """q^(-exponent); exponent INFINITY denotes the zero magnitude.
 
-    Products add exponents, the max of two magnitudes takes the smaller
-    exponent, and order comparisons are reversed exponent comparisons.
+    Products add exponents, and order comparisons are reversed exponent
+    comparisons.
     """
 
     base_q: int
@@ -148,10 +148,6 @@ class Magnitude:
     @classmethod
     def zero(cls, q: int) -> "Magnitude":
         return cls(q, INFINITY)
-
-    @classmethod
-    def one(cls, q: int) -> "Magnitude":
-        return cls(q, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -171,10 +167,6 @@ class Magnitude:
         if self.is_zero:
             raise ZeroDivisionError("zero magnitude has no inverse")
         return Magnitude(self.base_q, -self.exponent)
-
-    def sup(self, other: "Magnitude") -> "Magnitude":
-        self._check(other)
-        return Magnitude(self.base_q, min(self.exponent, other.exponent))
 
     def __lt__(self, other: "Magnitude") -> bool:
         self._check(other)

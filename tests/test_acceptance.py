@@ -175,7 +175,7 @@ def test_criterion_6_digit_set_dimension():
     beta = DimensionValue(2, 3)          # log 2 / log 3, held exactly
     for depth in range(1, 13):
         report = digit_set_analysis(3, [0, 2], depth, beta)
-        assert report.content_estimate.equals_one()
+        assert report.content_estimate.compare_to_one() == 0
     for n in range(1, 11):
         report = digit_set_analysis(3, [0, 2], n, beta)
         assert report.ball_count == 2**n

@@ -83,8 +83,9 @@ class TestTextIO:
         (lambda t: parse_element(t, Q5, 8), f"1 + {HUGE}*5 + O(5^2)", 4),
         (lambda t: parse_element(t, Q5, 8), f"1 + 1*5^{HUGE}", 8),
         (lambda t: parse_series(t, Q5, 8), f"1 + X^{HUGE}", 6),
+        (lambda t: parse_series(t, Q5, 8), f"1 + {HUGE}*X", 4),
     ], ids=["numerator", "denominator", "shift", "precision", "digit",
-            "exponent", "series-exponent"])
+            "exponent", "series-exponent", "series-coefficient"])
     def test_huge_integer_literal_is_a_parse_error(self, parse, text, position):
         with pytest.raises(ParseError) as info:
             parse(text)
@@ -237,6 +238,8 @@ class TestJsonAndErrors:
          "argument -p/--prime: 4 is not prime"),
         (["dim", "-p", "1", "alpha"], "argument -p/--prime: 1 is not prime"),
         (["factval", "-p", "3", "--", "-1"], "argument index: -1 is negative"),
+        (["strassmann", "-p", "5", "--m", "1", "--f", "X + 5", "--from-index", "-1",
+          "--json"], "argument --from-index: -1 is negative"),
     ])
     def test_bad_prime_or_index_is_a_usage_error(self, capsys, argv, message):
         assert run(argv) == 1
@@ -269,6 +272,8 @@ def test_readme_lists_examples():
       "--beta", "0", "--json"], 0, '"content_approx": Infinity'),
     (["val", "-p", "3", HUGE], 1, "parse error at position 0"),
     (["elem", "-p", "3", f"1 + O(3^{HUGE})"], 1, "parse error at position 8"),
+    (["strassmann", "-p", "5", "--f", "X^2 + 1/0*X"], 1,
+     "parse error at position 8: zero denominator"),
 ])
 def test_refusals_and_edge_answers_do_not_raise(capsys, argv, code, printed):
     assert run(argv) == code

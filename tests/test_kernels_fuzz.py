@@ -158,7 +158,6 @@ def test_reduce_mod_and_residue(case, data):
             x.reduce_mod(j)
         return
     assert x.reduce_mod(j) == ref.reduce_mod(a, j)
-    assert x.residue() == ref.reduce_mod(a, 1)
 
 
 class TestConstructionInvariants:

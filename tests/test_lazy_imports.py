@@ -1,6 +1,9 @@
-"""The package loads its submodules on first use, and a `dvfield` command
-imports only the modules it calls."""
+"""The package loads its submodules on first use, a `dvfield` command
+imports only the modules it calls, and the runtime imports nothing
+outside the standard library."""
 
+import ast
+import glob
 import importlib
 import json
 import os
@@ -30,7 +33,7 @@ EXPORTS = {
                  "StrassmannReport", "check_hypotheses", "enumerate_roots",
                  "fixed_point_solve", "hensel_solve", "strassmann_bound"],
     "series": ["TailProfile", "TruncatedSeries", "polynomial"],
-    "special": ["e_min", "exp_eval", "exp_functional_check", "exp_series", "log_solve"],
+    "special": ["e_min", "exp_eval", "exp_series", "log_solve"],
     "valuation": ["INFINITY", "Magnitude", "Valuation", "factorial_valuation",
                   "is_infinite", "is_prime", "vp"],
 }
@@ -46,7 +49,7 @@ def fresh_python(*args: str) -> subprocess.CompletedProcess:
 class TestPackageSurface:
     def test_all_is_the_eager_surface(self):
         names = [n for names in EXPORTS.values() for n in names] + SUBMODULES
-        assert len(names) == 66
+        assert len(names) == 65
         assert dvfield.__all__ == sorted(names)
 
     def test_each_name_is_its_modules_attribute_and_is_cached(self):
@@ -112,3 +115,20 @@ class TestImportBoundary:
         assert out == "1 + 1*3 + 1*3^2 + 2*3^3 + O(3^4)\n"
         assert "special" in loaded
         assert "measure" not in loaded
+
+
+def test_runtime_imports_only_the_standard_library():
+    outside = []
+    for path in sorted(glob.glob(os.path.join(SRC, "dvfield", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            outside += [(os.path.basename(path), top) for top in tops
+                        if top not in sys.stdlib_module_names]
+    assert outside == []

@@ -120,10 +120,10 @@ class TestPrecision:
 
     def test_residue_and_reduce_mod(self):
         x = el(Q5, 1, 2, 4)          # 63 mod 125 at depth 3
-        assert x.residue() == 3
+        assert x.reduce_mod(1) == 3
         assert x.reduce_mod(3) == 63
         with pytest.raises(DomainError):
-            el(Q5, 1, 5, 4).residue()
+            el(Q5, 1, 5, 4).reduce_mod(1)
 
 
 class TestLaurent:

@@ -50,9 +50,6 @@ class TestBallSpec:
         assert ball(Q5, 0, 0).measure() == 1
         assert ball(Q5, 0, -1).measure() == 5
 
-    def test_open_ball_is_next_closed_ball(self):
-        assert BallSpec.from_open(el(Q5, 3), 1) == ball(Q5, 3, 2)
-
     def test_center_needs_enough_precision(self):
         with pytest.raises(InsufficientPrecision):
             BallSpec.make(el(Q5, 1, 1, 2), 5)
@@ -224,7 +221,7 @@ class TestDigitSets:
         beta = DimensionValue(2, 3)
         report = digit_set_analysis(3, [0, 2], 5, beta)
         assert report.ball_count == 32
-        assert report.content_estimate.equals_one()
+        assert report.content_estimate.compare_to_one() == 0
         assert abs(report.dimension.approx() - 0.6309297535714574) < 1e-12
 
     def test_box_counts_are_power_of_set_size(self):
@@ -248,16 +245,10 @@ class TestDigitSets:
         tiny = digit_set_analysis(3, [0], 2000, 1).content_estimate
         assert tiny.compare_to_one() == -1 and tiny.approx() == 0.0
 
-    def test_depth_monotonicity(self):
-        shallow = digit_set_analysis(3, [0, 2], 2, Fraction(1)).content_estimate
-        deep = digit_set_analysis(3, [0, 2], 8, Fraction(1)).content_estimate
-        assert deep.compare(shallow) == -1        # shrinking content
-        assert shallow.compare(deep) == 1
-
     def test_full_digit_set_is_the_unit_ball(self):
         report = digit_set_analysis(5, range(5), 3, Fraction(1))
         assert report.ball_count == 125
-        assert report.content_estimate.equals_one()
+        assert report.content_estimate.compare_to_one() == 0
         assert report.dimension.rational_value() == 1
 
     def test_cover_codes_are_every_digit_string_ascending(self):

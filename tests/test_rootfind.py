@@ -144,7 +144,7 @@ class TestStrassmann:
     def test_cubic_over_q3(self):
         f = polynomial(Q3, [0, -1, 0, 1], 10)
         rep = strassmann_bound(f, 0)
-        assert rep.bound_N == 3 and rep.attaining_index == 3
+        assert rep.bound_N == 3
 
     def test_unit_constant_gives_zero(self):
         f = polynomial(Q5, [1, 5, 25], 10)
@@ -157,6 +157,24 @@ class TestStrassmann:
         # max over j >= 1 for E(X) - 1: attained at j = 1 on v(x) >= 1
         E = exp_series(Q5, 8)
         assert strassmann_bound(E, 1, from_index=1).bound_N == 1
+
+    @pytest.mark.parametrize("desc, coeffs, m, bounds", [
+        (Q5, [5, 1], 1, (1, 1)),
+        (Q5, [5, 1], 0, (1, 1)),
+        (Q3, [0, -1, 0, 1], 0, (3, 3)),
+        (Q5, [1, 5, 25], 0, (0, 1)),
+        (Q5, [25, 5, 1], 1, (2, 2)),
+        (Q5, [1, 0, 5], 0, (0, 2)),
+    ])
+    def test_from_index_zero_and_one(self, desc, coeffs, m, bounds):
+        f = polynomial(desc, coeffs, 10)
+        assert tuple(strassmann_bound(f, m, from_index=k).bound_N
+                     for k in (0, 1)) == bounds
+
+    def test_negative_from_index_is_refused(self):
+        # j = -1 would read the last coefficient with weight -m
+        with pytest.raises(ValueError, match="from_index must be nonnegative"):
+            strassmann_bound(polynomial(Q5, [5, 1], 10), 1, from_index=-1)
 
     def test_all_coefficients_undetermined(self):
         f = TruncatedSeries(Q5, (FieldElement.zero_to_precision(Q5, 4),

@@ -32,8 +32,8 @@ def geometric(desc, prec=12):
 class TestSupTerm:
     def test_square_over_q5(self):
         f = polynomial(Q5, [0, 0, 1], 8)
-        assert f.sup_term(0, 1).exponent == 0
-        assert f.sup_term(0, 2).exponent == 0
+        assert f.sup_exponent(0, 1) == 0
+        assert f.sup_exponent(0, 2) == 0
 
     def test_exp_over_q5_radius_one(self):
         # attained at j = 2 by |1/2| * r^0 = 1
@@ -41,11 +41,11 @@ class TestSupTerm:
 
     def test_inadmissible_radius_rejected(self):
         with pytest.raises(DomainError):
-            exp_series(Q5, 8).sup_term(0, 2)
+            exp_series(Q5, 8).sup_exponent(0, 2)
 
     def test_empty_range_is_zero_magnitude(self):
         f = polynomial(Q5, [1, 1], 8)
-        assert f.sup_term(0, 2).is_zero
+        assert f.sup_exponent(0, 2) is INFINITY
 
 
 class TestEval:
@@ -206,11 +206,6 @@ class TestDeflate:
 
 
 class TestThresholdAndIsometry:
-    def test_convergence_threshold(self):
-        assert exp_series(Q5, 6).convergence_threshold() == 1
-        assert exp_series(Q2, 6).convergence_threshold() == 2
-        assert polynomial(Q5, [1, 1], 6).convergence_threshold() is None
-
     def test_isometry_certified_q5(self):
         ok, mag = polynomial(Q5, [0, 0, 1], 8).isometry_criterion(
             0, el(Q5, 1, 1, 8), 1)

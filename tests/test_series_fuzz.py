@@ -135,8 +135,8 @@ def eval_case(draw):
     how = draw(st.sampled_from(("series", "derivative", "cancel")))
     if how == "derivative":
         f = f.derivative()
-    threshold = f.convergence_threshold()
-    low = -2 if threshold is None else threshold
+    # the least v(x) that makes the term valuations tend to infinity
+    low = -2 if f.tail is None else math.floor(-f.tail.slope) + 1
     v = draw(st.integers(low - 1, low + 3))
     if draw(st.integers(0, 7)) == 0:
         x = FieldElement.zero_to_precision(F, v + draw(st.integers(0, 4)))
