@@ -168,7 +168,7 @@ def parse_ball(text: str, descriptor: FieldDescriptor,
 
 _SERIES_TERM_RE = re.compile(
     r"(?:(?P<tail>tail:exp)"
-    r"|(?P<coef>-?\d+(?:/\d+)?)\s*(?:\*\s*X(?:\^(?P<e1>\d+))?)?"
+    r"|(?P<coef>-?\d+(?:/\d+)?)(?:\s*\*\s*X(?:\^(?P<e1>\d+))?)?"
     r"|X(?:\^(?P<e2>\d+))?)"
 )
 

@@ -2,15 +2,18 @@ import json
 import shlex
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvfield.cli import run
 from dvfield.errors import ParseError
 from dvfield.localfield import FieldElement, Qp, laurent_field
 from dvfield.textio import (parse_ball, parse_element, parse_rational,
-                            parse_series, render_element)
+                            parse_series, render_element, render_fraction)
 
 Q5 = Qp(5)
 L3 = laurent_field(3)
@@ -91,11 +94,119 @@ class TestTextIO:
             parse(text)
         assert info.value.position == position
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_series_literal_terms_in_any_order_and_spacing(self, data):
+        draw = data.draw
+        terms = draw(st.lists(st.tuples(
+            st.integers(0, 6),
+            st.one_of(st.sampled_from([1, -1]),
+                      st.fractions(-40, 40, max_denominator=30))),
+            min_size=1, max_size=6))
+        space = st.sampled_from(["", " ", "  "])
+        text, expected = draw(space), {}
+        for i, (e, c) in enumerate(terms):
+            expected[e] = expected.get(e, 0) + c
+            # terms are unsigned: a leading '-' or a '-' separator negates
+            mag = abs(c)
+            if c < 0 or i > 0:
+                text += ("-" if c < 0 else "+") + draw(space)
+            if mag == 1 and draw(st.booleans()):
+                text += "X" if e == 1 and draw(st.booleans()) else f"X^{e}"
+            elif e == 0 and draw(st.booleans()):
+                text += render_fraction(Fraction(mag))
+            else:
+                text += f"{render_fraction(Fraction(mag))}{draw(space)}*{draw(space)}X"
+                text += "" if e == 1 and draw(st.booleans()) else f"^{e}"
+            text += draw(space)
+        f = parse_series(text, Q5, 8)
+        degree = max(expected)
+        assert f.stored_len == degree + 1
+        for e in range(degree + 1):
+            c = Fraction(expected.get(e, 0))
+            assert f.coeffs[e] == FieldElement.from_rational(
+                Q5, c.numerator, c.denominator, 8), (text, e)
+
     def test_series_with_exp_tail(self):
         f = parse_series("1 + X + tail:exp", Q5, 8)
         assert f.tail is not None
         assert f.materialized(4).coeffs[3].agrees_with(
             FieldElement.from_rational(Q5, 1, 6, 6), 6)
+
+
+def element(text):
+    return parse_element(text, Q5, 8)
+
+
+def series(text):
+    return parse_series(text, Q5, 8)
+
+
+def ball(text):
+    return parse_ball(text, Q5, 8)
+
+
+class TestBoundaryRefusals:
+    @pytest.mark.parametrize("parse, text, error, message, position", [
+        (element, "1 2*5", ParseError, "expected '+' between terms", 2),
+        (element, "O(5^3) y", ParseError, "expected '+' between terms", 7),
+        (element, "O(5^3) + 1", ParseError, "precision marker must come last", 9),
+        (element, "1 + O(5^2) + 3*5", ParseError, "precision marker must come last", 13),
+        (element, " 1 + y", ParseError, "unrecognized term", 5),
+        (element, "1 + 2", ParseError, "duplicate exponent 0", 4),
+        (element, "1 + ", ParseError, "dangling '+'", 3),
+        (element, " 1*5^3 + O(5^2)", ParseError,
+         "digit exponent 3 at or beyond precision 2", 1),
+        (ball, "1/2", ParseError, "ball literal needs '@<radius_exponent>'", 3),
+        (ball, "1/2@x", ParseError, "radius exponent must be an integer", 4),
+        (series, "1 + - X", ParseError, "unexpected '-'", 4),
+        (series, "1 --2", ParseError, "double sign", 3),
+        (series, "X X", ParseError, "expected '+' or '-' between terms", 2),
+        (series, "1 + Y", ParseError, "unrecognized series term", 4),
+        (series, "1 - tail:exp", ParseError, "tail marker cannot be negated", 4),
+        (series, "-tail:exp", ParseError, "tail marker cannot be negated", 1),
+        (series, "tail:exp + X", ParseError, "terms after tail marker", 11),
+        (series, "", ParseError, "empty or dangling series literal", 0),
+        (series, "  ", ParseError, "empty or dangling series literal", 2),
+        (series, "-", ParseError, "empty or dangling series literal", 1),
+        (series, "X + ", ParseError, "empty or dangling series literal", 4),
+    ])
+    def test_literal_refusal(self, parse, text, error, message, position):
+        with pytest.raises(error) as info:
+            parse(text)
+        assert str(info.value) == message
+        assert info.value.position == position
+
+    @pytest.mark.parametrize("text, coeffs", [
+        ("-X^2 + 3", [3, 0, -1]),
+        ("- 2*X", [0, -2]),
+        ("-3/2 - X", [Fraction(-3, 2), -1]),
+    ])
+    def test_leading_minus_signs_the_first_term(self, text, coeffs):
+        f = series(text)
+        assert f.coeffs == tuple(FieldElement.from_rational(
+            Q5, Fraction(c).numerator, Fraction(c).denominator, 8) for c in coeffs)
+
+    @pytest.mark.parametrize("argv, code, printed", [
+        (["elem", "-p", "5", "1", "add"], 1,
+         "parse error at position 0: operator given without a second operand"),
+        (["measure", "-p", "5", "scale", "0@0"], 1,
+         "parse error at position 0: measure scale needs --c"),
+        (["measure", "-p", "5", "--ball", "0@0", "image", "1@1"], 1,
+         "parse error at position 0: measure image needs --f and --ball"),
+        (["dim", "-p", "5", "digits", "--digits", "0,x"], 1,
+         "parse error at position 0: digit set must be comma-separated integers"),
+        (["val", "-p", "3", "--laurent", "T^-1 * 2 + O(T^2)"], 0, "-1"),
+        (["val", "-p", "3", "--laurent", "--json", "T^-1 * 2 + O(T^2)"], 0,
+         '{"valuation": -1}'),
+        (["val", "-p", "3", "--laurent", "O(T^5)"], 0, ">= 5"),
+        (["val", "-p", "3", "--laurent", "--json", "O(T^5)"], 0,
+         '{"valuation_lower_bound": 5}'),
+    ])
+    def test_command_boundary(self, capsys, argv, code, printed):
+        assert run(argv) == code
+        out, err = out_of(capsys)
+        assert (out if code == 0 else err) == printed
 
 
 class TestCommands:
@@ -143,6 +254,13 @@ class TestCommands:
         assert run(["roots", "-p", "3", "-N", "4", "--f", "X^3 - X"]) == 0
         lines = out_of(capsys)[0].splitlines()
         assert len(lines) == 3
+
+    def test_roots_read_a_series_literal_in_any_term_order(self, capsys):
+        assert run(["roots", "-p", "5", "-N", "6", "--f", "X + 4"]) == 0
+        ordered = out_of(capsys)[0]
+        assert run(["roots", "-p", "5", "-N", "6", "--f", "4 + X"]) == 0
+        assert out_of(capsys)[0] == ordered == (
+            "1 + 4*5 + 4*5^2 + 4*5^3 + 4*5^4 + 4*5^5 + O(5^6)")
 
     def test_strassmann(self, capsys):
         assert run(["strassmann", "-p", "3", "-N", "8", "--f", "X^3 - X"]) == 0
