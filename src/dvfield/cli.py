@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -29,7 +30,7 @@ from .valuation import factorial_valuation, is_infinite, is_prime, vp
 
 
 def _descriptor(args) -> FieldDescriptor:
-    if getattr(args, "laurent", False):
+    if args.laurent:
         return laurent_field(args.prime)
     return Qp(args.prime)
 
@@ -58,9 +59,9 @@ def _emit(args, text: str, payload) -> int:
 
 def _cmd_val(args) -> int:
     desc = _descriptor(args)
-    if getattr(args, "laurent", False):
+    if args.laurent:
         x = parse_element(args.value, desc, args.precision)
-        v = x.valuation_lower_bound if x.is_zero_to_precision else x.valuation
+        v = x.valuation_lower_bound
         if x.is_zero_to_precision:
             return _emit(args, f">= {v}", {"valuation_lower_bound": v})
     else:
@@ -76,6 +77,10 @@ def _cmd_factval(args) -> int:
     return _emit(args, str(v), {"factorial_valuation": v})
 
 
+_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+        "div": operator.truediv}
+
+
 def _cmd_elem(args) -> int:
     desc = _descriptor(args)
     a = parse_element(args.a, desc, args.precision)
@@ -84,11 +89,7 @@ def _cmd_elem(args) -> int:
     if args.b is None:
         raise ParseError("operator given without a second operand", 0)
     b = parse_element(args.b, desc, args.precision)
-    ops = {"add": lambda: a + b, "sub": lambda: a - b,
-           "mul": lambda: a * b, "div": lambda: a / b}
-    if args.op not in ops:
-        raise ParseError(f"unknown operator {args.op!r}", 0)
-    out = ops[args.op]()
+    out = _OPS[args.op](a, b)
     return _emit(args, render_element(out), _element_json(out))
 
 
@@ -183,14 +184,12 @@ def _cmd_measure(args) -> int:
                    "balls": [f"{render_element(b.center)}@{b.radius_exponent}"
                              for b in family]}
         return _emit(args, text, payload)
-    if args.action == "image":
-        if args.f is None or args.ball is None:
-            raise ParseError("measure image needs --f and --ball", 0)
-        f = parse_series(args.f, desc, args.precision)
-        ball = parse_ball(args.ball, desc, args.precision)
-        total = image_measure(f, ball, balls)
-        return _emit(args, render_fraction(total), _fraction_json(total))
-    raise ParseError(f"unknown measure action {args.action!r}", 0)
+    if args.f is None or args.ball is None:
+        raise ParseError("measure image needs --f and --ball", 0)
+    f = parse_series(args.f, desc, args.precision)
+    ball = parse_ball(args.ball, desc, args.precision)
+    total = image_measure(f, ball, balls)
+    return _emit(args, render_fraction(total), _fraction_json(total))
 
 
 def _cmd_dim(args) -> int:
@@ -206,32 +205,29 @@ def _cmd_dim(args) -> int:
                    "exact": _fraction_json(exact) if exact is not None else None,
                    "approx": dv.approx()}
         return _emit(args, text, payload)
-    if args.what == "digits":
-        try:
-            digits = [int(t) for t in args.digits.split(",") if t.strip() != ""]
-        except ValueError:
-            raise ParseError("digit set must be comma-separated integers",
-                             0) from None
-        count, limit = len(set(digits)), sys.get_int_max_str_digits()
-        if count > 1 and limit and args.depth * math.log10(count) >= limit:
-            raise DomainError(f"{count}^{args.depth} balls: over {limit} decimal digits")
-        if args.beta_log is not None:
-            beta = DimensionValue(args.beta_log, args.prime)
-        else:
-            beta = parse_rational(args.beta)
-        report = digit_set_analysis(args.prime, digits, args.depth, beta)
-        cmp_one = report.content_estimate.compare_to_one()
-        dim = report.dimension
-        text = (f"balls={report.ball_count} content~{report.content_estimate.approx():.6f} "
-                f"(vs 1: {cmp_one:+d}) dimension~{dim.approx():.6f}")
-        payload = {"ball_count": report.ball_count,
-                   "content_compare_to_one": cmp_one,
-                   "content_approx": report.content_estimate.approx(),
-                   "dimension": {"count_base": dim.count_base,
-                                 "scale_base": dim.scale_base,
-                                 "approx": dim.approx()}}
-        return _emit(args, text, payload)
-    raise ParseError(f"unknown dim action {args.what!r}", 0)
+    try:
+        digits = [int(t) for t in args.digits.split(",") if t.strip() != ""]
+    except ValueError:
+        raise ParseError("digit set must be comma-separated integers", 0) from None
+    count, limit = len(set(digits)), sys.get_int_max_str_digits()
+    if count > 1 and limit and args.depth * math.log10(count) >= limit:
+        raise DomainError(f"{count}^{args.depth} balls: over {limit} decimal digits")
+    if args.beta_log is not None:
+        beta = DimensionValue(args.beta_log, args.prime)
+    else:
+        beta = parse_rational(args.beta)
+    report = digit_set_analysis(args.prime, digits, args.depth, beta)
+    cmp_one = report.content_estimate.compare_to_one()
+    dim = report.dimension
+    text = (f"balls={report.ball_count} content~{report.content_estimate.approx():.6f} "
+            f"(vs 1: {cmp_one:+d}) dimension~{dim.approx():.6f}")
+    payload = {"ball_count": report.ball_count,
+               "content_compare_to_one": cmp_one,
+               "content_approx": report.content_estimate.approx(),
+               "dimension": {"count_base": dim.count_base,
+                             "scale_base": dim.scale_base,
+                             "approx": dim.approx()}}
+    return _emit(args, text, payload)
 
 
 def prime(text: str) -> int:
@@ -244,11 +240,19 @@ def prime(text: str) -> int:
 
 def index(text: str) -> int:
     """argparse type of an index that must be nonnegative: factval's j in
-    j! and strassmann's --from-index."""
+    j!, strassmann's --from-index and roots' --depth."""
     j = int(text)
     if j < 0:
         raise argparse.ArgumentTypeError(f"{j} is negative")
     return j
+
+
+def positive(text: str) -> int:
+    """argparse type of dim's --beta-log B, an integer >= 1."""
+    b = int(text)
+    if b < 1:
+        raise argparse.ArgumentTypeError(f"{b} is not positive")
+    return b
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="all roots of f in a ball")
     common(p, ball=True, series=True)
-    p.add_argument("--depth", type=int, default=4)
+    p.add_argument("--depth", type=index, default=4)
     p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("strassmann", help="zero-count bound on a ball")
@@ -345,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated digit set (for digits)")
     p.add_argument("--depth", type=int, default=5)
     p.add_argument("--beta", default="1", help="content exponent as a rational")
-    p.add_argument("--beta-log", type=int, default=None,
+    p.add_argument("--beta-log", type=positive, default=None,
                    help="content exponent log(B)/log(p) given by B")
     p.set_defaults(func=_cmd_dim)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -207,8 +208,7 @@ def _beta_parts(p: int, beta) -> Tuple[int, int, int]:
 @dataclass(frozen=True)
 class ContentEstimate:
     """count_base^depth * p^(-beta*depth), with beta*log(p) =
-    (beta_num/beta_den)*log(beta_base); compared exactly through integer
-    powers."""
+    (beta_num/beta_den)*log(beta_base)."""
 
     count_base: int
     scale_p: int
@@ -218,12 +218,32 @@ class ContentEstimate:
     beta_base: int
 
     def compare_to_one(self) -> int:
-        """-1, 0, or 1 as the content is below, equal to, or above 1."""
-        lhs = self.count_base ** self.beta_den
-        rhs = self.beta_base ** self.beta_num
-        if lhs == rhs:
-            return 0
-        return 1 if lhs > rhs else -1
+        """-1, 0, or 1 as the content is below, equal to, or above 1, the
+        sign of beta_den*log(count_base) - beta_num*log(beta_base): exact
+        through the log ratio when it is rational, else through integer
+        powers of fewer than sys.get_int_max_str_digits() digits, else
+        through floats where their margin is certified; refused with
+        DomainError otherwise."""
+        c, b = self.count_base, self.beta_base
+        beta = Fraction(self.beta_num, self.beta_den)
+        if b == 1:
+            return int(c > 1)
+        r = _log_ratio(c, b)
+        if r is not None:
+            return (r > beta) - (r < beta)
+        # c, b >= 2 and log c / log b is irrational: the sign is never 0
+        limit = sys.get_int_max_str_digits()
+        if not limit or (self.beta_den < limit / math.log10(c)
+                         and abs(self.beta_num) < limit / math.log10(b)):
+            return 1 if c ** self.beta_den > b ** self.beta_num else -1
+        # rho is within a few units in the last place of log c / log b
+        rho = math.log(c) / math.log(b)
+        if beta < rho * (1 - 1e-12):
+            return 1
+        if beta > rho * (1 + 1e-12):
+            return -1
+        raise DomainError(f"content at beta = {beta} too close to 1 to compare "
+                          f"within {limit} decimal digits")
 
     def approx(self) -> float:
         log_content = self.depth * (math.log(self.count_base)

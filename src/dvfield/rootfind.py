@@ -25,7 +25,7 @@ from .errors import (
 )
 from .localfield import FieldElement, as_exact as _as_exact
 from .series import TruncatedSeries
-from .valuation import Magnitude, Valuation, is_infinite
+from .valuation import Magnitude, Valuation
 
 
 @dataclass(frozen=True)
@@ -285,10 +285,9 @@ def strassmann_bound(f: TruncatedSeries, m: int, from_index: int = 0) -> Strassm
             raise TailInconclusive(
                 "an undetermined coefficient could attain the maximum")
     if f.tail is not None:
+        # j0 >= stored_len, so the tail alone bounds the exponent there
         j0 = max(f.stored_len, f.tail.start, from_index)
-        tail_lb = (f.sup_exponent(m, j0) + m * j0
-                   if j0 >= f.stored_len else None)
-        if tail_lb is None or not (is_infinite(tail_lb) or tail_lb > best):
+        if f.sup_exponent(m, j0) + m * j0 <= best:
             raise TailInconclusive("tail bound does not dominate strictly")
     return StrassmannReport(bound_N=attaining)
 
@@ -302,6 +301,8 @@ def enumerate_roots(f: TruncatedSeries, m: int, scan_depth: int = 4,
     Raises UndecidedMultipleRoot when a class reaches scan_depth with
     f and f' both indistinguishable from zero there.
     """
+    if scan_depth < 0:
+        raise ValueError("scan_depth must be nonnegative")
     f.require_radius(m)
     if target_prec is None:
         target_prec = f.working_precision

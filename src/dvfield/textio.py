@@ -9,8 +9,11 @@ Digits satisfy 0 <= d < q; the optional prefix shifts by the valuation v
 and then K counts relative to v (absolute precision v + K).  A bare
 rational a/b (or integer) is also accepted.  An element that is zero to
 precision N renders as O(q^N).  Ball literal: <element>@<radius_exp>.
-Series literal: a polynomial in X with rational coefficients, optionally
-continued by "tail:exp" (coefficients 1/j! beyond those given).
+Series literal: a polynomial in X with rational coefficients, its terms
+c, c*X, c*X^e, X or X^e in any order and joined by '+' or '-', optionally
+continued by "tail:exp" (coefficients 1/j! beyond those given).  A
+leading '-' signs the first term; any other '-' where a term belongs is
+refused.
 """
 
 from __future__ import annotations
@@ -49,8 +52,10 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _base_re(descriptor: FieldDescriptor) -> str:
-    return re.escape(descriptor.base_token)
+def _skip_spaces(s: str, pos: int) -> int:
+    while pos < len(s) and s[pos].isspace():
+        pos += 1
+    return pos
 
 
 def parse_element(text: str, descriptor: FieldDescriptor,
@@ -63,58 +68,50 @@ def parse_element(text: str, descriptor: FieldDescriptor,
                                           r.denominator, default_prec)
 
     offset = len(text) - len(text.lstrip())
+    base = re.escape(descriptor.base_token)
     v = 0
-    prefix = re.match(rf"{_base_re(descriptor)}\^(-?\d+)\s*\*\s*", s)
+    prefix = re.match(rf"{base}\^(-?\d+)\s*\*\s*", s)
     if prefix:
         v = _int(prefix, 1, offset)
         offset += prefix.end()
         s = s[prefix.end():]
 
     term_re = re.compile(
-        rf"(?:O\(\s*{_base_re(descriptor)}\^(-?\d+)\s*\))"          # O(q^K)
-        rf"|(?:(\d+)\s*\*\s*{_base_re(descriptor)}(?:\^(\d+))?)"    # d*q^e
-        rf"|(?:{_base_re(descriptor)}(?:\^(\d+))?)"                 # q^e
-        rf"|(\d+)"                                                  # bare digit
+        rf"O\(\s*{base}\^(?P<prec>-?\d+)\s*\)"               # O(q^K)
+        rf"|(?:(?P<d>\d+)\s*\*\s*)?{base}(?:\^(?P<e>\d+))?"  # [d*]q[^e]
+        rf"|(?P<digit>\d+)"                                  # bare digit
     )
     digits = {}
     rel_prec: Optional[int] = None
     pos = 0
-    expecting_term = True
-    while pos < len(s):
-        if s[pos].isspace():
-            pos += 1
-            continue
-        if not expecting_term:
-            if s[pos] == "+":
-                expecting_term = True
-                pos += 1
-                continue
-            raise ParseError("expected '+' between terms", offset + pos)
+    while True:
+        if pos == len(s):
+            raise ParseError("dangling '+'", offset + pos)
         if rel_prec is not None:
             raise ParseError("precision marker must come last", offset + pos)
         m = term_re.match(s, pos)
         if not m:
             raise ParseError("unrecognized term", offset + pos)
-        if m.group(1) is not None:
-            rel_prec = _int(m, 1, offset)
+        if m["prec"] is not None:
+            rel_prec = _int(m, "prec", offset)
         else:
-            if m.group(2) is not None:
-                d = _int(m, 2, offset)
-                e = _int(m, 3, offset) if m.group(3) else 1
-            elif m.group(5) is not None:
-                d, e = _int(m, 5, offset), 0
+            if m["digit"] is not None:
+                d, e = _int(m, "digit", offset), 0
             else:
-                d, e = 1, _int(m, 4, offset) if m.group(4) else 1
+                d = _int(m, "d", offset) if m["d"] else 1
+                e = _int(m, "e", offset) if m["e"] else 1
             if d >= q:
                 raise ParseError(f"digit {d} out of range for base {q}",
                                  offset + pos)
             if e in digits:
                 raise ParseError(f"duplicate exponent {e}", offset + pos)
             digits[e] = d
-        pos = m.end()
-        expecting_term = False
-    if expecting_term:
-        raise ParseError("dangling '+'", offset + len(s))
+        pos = _skip_spaces(s, m.end())
+        if pos == len(s):
+            break
+        if s[pos] != "+":
+            raise ParseError("expected '+' between terms", offset + pos)
+        pos = _skip_spaces(s, pos + 1)
     if rel_prec is None:
         rel_prec = default_prec
     for e in digits:
@@ -167,93 +164,66 @@ def parse_ball(text: str, descriptor: FieldDescriptor,
 
 
 _SERIES_TERM_RE = re.compile(
-    r"(?:(?P<tail>tail:exp)"
-    r"|(?P<coef>-?\d+(?:/\d+)?)(?:\s*\*\s*X(?:\^(?P<e1>\d+))?)?"
-    r"|X(?:\^(?P<e2>\d+))?)"
+    r"(?P<tail>tail:exp)"
+    r"|(?:(?P<coef>\d+(?:/\d+)?)\s*\*\s*)?X(?:\^(?P<e>\d+))?"  # [c*]X[^e]
+    r"|(?P<const>\d+(?:/\d+)?)"                                # c
 )
 
 
 def parse_series(text: str, descriptor: FieldDescriptor,
                  prec: int) -> TruncatedSeries:
     from .series import TruncatedSeries, polynomial
-    s = text
-    pos = 0
-    sign = 1
     coeffs = {}
     tail_exp = False
-    expecting_term = True
-    seen_any = False
-    while pos < len(s):
-        ch = s[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "+" and not expecting_term:
-            sign, expecting_term = 1, True
-            pos += 1
-            continue
-        if ch == "-":
-            if expecting_term and not seen_any:
-                pass  # leading minus binds to the first coefficient
-            elif expecting_term:
-                raise ParseError("unexpected '-'", pos)
-            sign, expecting_term = -1, True
-            pos += 1
-            # a '-' both separates and signs the next term
-            m = _SERIES_TERM_RE.match(s, pos)
-            if m and m.group("coef") and m.group("coef").startswith("-"):
-                raise ParseError("double sign", pos)
-            continue
-        if not expecting_term:
-            raise ParseError("expected '+' or '-' between terms", pos)
-        m = _SERIES_TERM_RE.match(s, pos)
+    sign = 1
+    pos = _skip_spaces(text, 0)
+    if text.startswith("-", pos):
+        # a leading minus signs the first term
+        sign, pos = -1, _skip_spaces(text, pos + 1)
+    while True:
+        if pos == len(text):
+            raise ParseError("empty or dangling series literal", pos)
+        if text[pos] == "-":
+            raise ParseError("unexpected '-'", pos)
+        m = _SERIES_TERM_RE.match(text, pos)
         if not m:
             raise ParseError("unrecognized series term", pos)
-        if m.group("tail"):
+        if m["tail"]:
             if sign < 0:
                 raise ParseError("tail marker cannot be negated", pos)
             tail_exp = True
         else:
-            if m.group("coef") is not None:
+            group = "const" if m["const"] else "coef"
+            c = Fraction(1)
+            if m[group]:
                 try:
-                    c = parse_rational(m.group("coef"))
+                    c = parse_rational(m[group])
                 except ParseError as exc:
-                    raise ParseError(str(exc), exc.position + m.start("coef")) from None
-                if m.end("coef") != m.end():            # had *X part
-                    e = _int(m, "e1") if m.group("e1") else 1
-                else:
-                    e = 0
-            else:
-                c = Fraction(1)
-                e = _int(m, "e2") if m.group("e2") else 1
+                    raise ParseError(str(exc), exc.position + m.start(group)) from None
+            e = 0 if m["const"] else _int(m, "e") if m["e"] else 1
             if tail_exp:
                 raise ParseError("terms after tail marker", pos)
             coeffs[e] = coeffs.get(e, Fraction(0)) + sign * c
-        pos = m.end()
-        sign = 1
-        expecting_term = False
-        seen_any = True
-    if expecting_term:
-        raise ParseError("empty or dangling series literal", pos)
+        pos = _skip_spaces(text, m.end())
+        if pos == len(text):
+            break
+        if text[pos] not in "+-":
+            raise ParseError("expected '+' or '-' between terms", pos)
+        sign = -1 if text[pos] == "-" else 1
+        pos = _skip_spaces(text, pos + 1)
     degree = max(coeffs) if coeffs else 0
     rationals = [coeffs.get(e, Fraction(0)) for e in range(degree + 1)]
     if not tail_exp:
         return polynomial(descriptor, rationals, prec)
     from .special import exp_series
     template = exp_series(descriptor, prec)
-    stored = max(len(rationals), 1)
-    elems = []
-    for j in range(stored):
-        if j < len(rationals) and coeffs.get(j) is not None:
-            fr = rationals[j]
-            elems.append(FieldElement.from_rational(
-                descriptor, fr.numerator, fr.denominator,
-                template.working_precision))
-        else:
-            elems.append(template.coeff_factory(j))
-    tail = dataclasses.replace(template.tail, start=stored)
-    return TruncatedSeries(descriptor, tuple(elems), tail,
-                           template.coeff_factory)
+    elems = tuple(
+        FieldElement.from_rational(descriptor, coeffs[j].numerator,
+                                   coeffs[j].denominator, template.working_precision)
+        if j in coeffs else template.coeff_factory(j)
+        for j in range(len(rationals)))
+    tail = dataclasses.replace(template.tail, start=len(elems))
+    return TruncatedSeries(descriptor, elems, tail, template.coeff_factory)
 
 
 def render_series(f: TruncatedSeries) -> str:

@@ -160,7 +160,10 @@ class TestBoundaryRefusals:
         (ball, "1/2", ParseError, "ball literal needs '@<radius_exponent>'", 3),
         (ball, "1/2@x", ParseError, "radius exponent must be an integer", 4),
         (series, "1 + - X", ParseError, "unexpected '-'", 4),
-        (series, "1 --2", ParseError, "double sign", 3),
+        (series, "1 --2", ParseError, "unexpected '-'", 3),
+        (series, "--X + 4", ParseError, "unexpected '-'", 1),
+        (series, "- - X", ParseError, "unexpected '-'", 2),
+        (series, "1 + -2*X", ParseError, "unexpected '-'", 4),
         (series, "X X", ParseError, "expected '+' or '-' between terms", 2),
         (series, "1 + Y", ParseError, "unrecognized series term", 4),
         (series, "1 - tail:exp", ParseError, "tail marker cannot be negated", 4),
@@ -358,6 +361,12 @@ class TestJsonAndErrors:
         (["factval", "-p", "3", "--", "-1"], "argument index: -1 is negative"),
         (["strassmann", "-p", "5", "--m", "1", "--f", "X + 5", "--from-index", "-1",
           "--json"], "argument --from-index: -1 is negative"),
+        (["roots", "-p", "5", "--f", "X", "--depth", "-1"],
+         "argument --depth: -1 is negative"),
+        (["dim", "-p", "5", "digits", "--digits", "0,1", "--beta-log", "0"],
+         "argument --beta-log: 0 is not positive"),
+        (["dim", "-p", "5", "digits", "--digits", "0,1", "--beta-log=-2"],
+         "argument --beta-log: -2 is not positive"),
     ])
     def test_bad_prime_or_index_is_a_usage_error(self, capsys, argv, message):
         assert run(argv) == 1
@@ -392,6 +401,10 @@ def test_readme_lists_examples():
     (["elem", "-p", "3", f"1 + O(3^{HUGE})"], 1, "parse error at position 8"),
     (["strassmann", "-p", "5", "--f", "X^2 + 1/0*X"], 1,
      "parse error at position 8: zero denominator"),
+    (["strassmann", "-p", "3", "--m", "1", "--f", "9 + 9*X + tail:exp"], 2,
+     "TailInconclusive: tail bound does not dominate strictly"),
+    (["dim", "-p", "5", "digits", "--digits", "0,1,3", "--beta", "1/100000000"], 0,
+     "(vs 1: +1)"),
 ])
 def test_refusals_and_edge_answers_do_not_raise(capsys, argv, code, printed):
     assert run(argv) == code

@@ -87,14 +87,24 @@ class TestPackageSurface:
         assert before == [] and same and not special
 
 
+# Runs `dvfield.cli` as `python -m` does, then reports the dvfield modules in
+# sys.modules when the command exits.  `-X importtime` would miss the modules
+# the package's __getattr__ loads through importlib.import_module.
+RUN_CLI = """\
+import atexit, json, runpy, sys
+atexit.register(lambda: print(json.dumps(sorted(
+    m for m in sys.modules if m.startswith("dvfield."))), file=sys.stderr))
+runpy.run_module("dvfield.cli", run_name="__main__", alter_sys=True)
+"""
+
+
 def cli_modules(*argv: str):
-    """stdout of a fresh `python -m dvfield.cli` and the dvfield modules it
-    imported, read from the interpreter's import-time report."""
-    proc = fresh_python("-X", "importtime", "-m", "dvfield.cli", *argv)
+    """stdout of a fresh `dvfield` command process and the dvfield modules
+    loaded when it exits."""
+    proc = fresh_python("-c", RUN_CLI, *argv)
     assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
-    return proc.stdout, {m[len("dvfield."):] for m in imported if m.startswith("dvfield.")}
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    return proc.stdout, {m[len("dvfield."):] for m in loaded}
 
 
 class TestImportBoundary:

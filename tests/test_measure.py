@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -244,6 +245,23 @@ class TestDigitSets:
         assert huge.compare_to_one() == 1 and huge.approx() == math.inf
         tiny = digit_set_analysis(3, [0], 2000, 1).content_estimate
         assert tiny.compare_to_one() == -1 and tiny.approx() == 0.0
+
+    def test_content_at_a_tiny_beta_builds_no_huge_power(self):
+        start = time.perf_counter()
+        report = digit_set_analysis(5, [0, 1, 3], 3, Fraction(1, 10**8))
+        assert report.content_estimate.compare_to_one() == 1
+        assert time.perf_counter() - start < 1
+
+    def test_content_near_one_is_exact_or_refused(self):
+        # log 4 / log 2 = 2 is rational: decided exactly however close beta is
+        near_two = Fraction(2 * 10**20 + 1, 10**20)
+        assert ContentEstimate(4, 2, 3, near_two.numerator, near_two.denominator,
+                               2).compare_to_one() == -1
+        # log 3 / log 5 is irrational: a beta within the float margin of it
+        # whose powers are too long to build is refused
+        rho = Fraction(math.log(3) / math.log(5))
+        with pytest.raises(DomainError, match="too close to 1"):
+            digit_set_analysis(5, [0, 1, 3], 3, rho).content_estimate.compare_to_one()
 
     def test_full_digit_set_is_the_unit_ball(self):
         report = digit_set_analysis(5, range(5), 3, Fraction(1))

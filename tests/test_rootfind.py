@@ -176,6 +176,10 @@ class TestStrassmann:
         with pytest.raises(ValueError, match="from_index must be nonnegative"):
             strassmann_bound(polynomial(Q5, [5, 1], 10), 1, from_index=-1)
 
+    def test_negative_scan_depth_is_refused(self):
+        with pytest.raises(ValueError, match="scan_depth must be nonnegative"):
+            enumerate_roots(polynomial(Q5, [5, 1], 10), 1, scan_depth=-1)
+
     def test_all_coefficients_undetermined(self):
         f = TruncatedSeries(Q5, (FieldElement.zero_to_precision(Q5, 4),
                                  FieldElement.zero_to_precision(Q5, 4)))
