@@ -190,27 +190,6 @@ class TestBoundaryRefusals:
         assert f.coeffs == tuple(FieldElement.from_rational(
             Q5, Fraction(c).numerator, Fraction(c).denominator, 8) for c in coeffs)
 
-    @pytest.mark.parametrize("argv, code, printed", [
-        (["elem", "-p", "5", "1", "add"], 1,
-         "parse error at position 0: operator given without a second operand"),
-        (["measure", "-p", "5", "scale", "0@0"], 1,
-         "parse error at position 0: measure scale needs --c"),
-        (["measure", "-p", "5", "--ball", "0@0", "image", "1@1"], 1,
-         "parse error at position 0: measure image needs --f and --ball"),
-        (["dim", "-p", "5", "digits", "--digits", "0,x"], 1,
-         "parse error at position 0: digit set must be comma-separated integers"),
-        (["val", "-p", "3", "--laurent", "T^-1 * 2 + O(T^2)"], 0, "-1"),
-        (["val", "-p", "3", "--laurent", "--json", "T^-1 * 2 + O(T^2)"], 0,
-         '{"valuation": -1}'),
-        (["val", "-p", "3", "--laurent", "O(T^5)"], 0, ">= 5"),
-        (["val", "-p", "3", "--laurent", "--json", "O(T^5)"], 0,
-         '{"valuation_lower_bound": 5}'),
-    ])
-    def test_command_boundary(self, capsys, argv, code, printed):
-        assert run(argv) == code
-        out, err = out_of(capsys)
-        assert (out if code == 0 else err) == printed
-
 
 class TestCommands:
     def test_val(self, capsys):
@@ -405,6 +384,20 @@ def test_readme_lists_examples():
      "TailInconclusive: tail bound does not dominate strictly"),
     (["dim", "-p", "5", "digits", "--digits", "0,1,3", "--beta", "1/100000000"], 0,
      "(vs 1: +1)"),
+    (["elem", "-p", "5", "1", "add"], 1,
+     "parse error at position 0: operator given without a second operand"),
+    (["measure", "-p", "5", "scale", "0@0"], 1,
+     "parse error at position 0: measure scale needs --c"),
+    (["measure", "-p", "5", "--ball", "0@0", "image", "1@1"], 1,
+     "parse error at position 0: measure image needs --f and --ball"),
+    (["dim", "-p", "5", "digits", "--digits", "0,x"], 1,
+     "parse error at position 0: digit set must be comma-separated integers"),
+    (["val", "-p", "3", "--laurent", "T^-1 * 2 + O(T^2)"], 0, "-1"),
+    (["val", "-p", "3", "--laurent", "--json", "T^-1 * 2 + O(T^2)"], 0,
+     '{"valuation": -1}'),
+    (["val", "-p", "3", "--laurent", "O(T^5)"], 0, ">= 5"),
+    (["val", "-p", "3", "--laurent", "--json", "O(T^5)"], 0,
+     '{"valuation_lower_bound": 5}'),
 ])
 def test_refusals_and_edge_answers_do_not_raise(capsys, argv, code, printed):
     assert run(argv) == code
