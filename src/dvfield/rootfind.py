@@ -134,27 +134,28 @@ def check_hypotheses(problem: HenselProblem) -> HypothesisReport:
     return _hypotheses(problem, _problem_state(problem))
 
 
-def _solve(problem: HenselProblem, state: _ProblemState, newton: bool,
-           scheduled: bool) -> RootCertificate:
+def _solve(problem: HenselProblem, state: _ProblemState,
+           newton: bool) -> RootCertificate:
     """Iterate x <- x + a^(-1) (z - f(x)) from x0, with a = f'(x)
     (Newton) or a = f'(x0) (the frozen-slope map), until the residual
     vanishes modulo q^(target + max(e_fp, 0)); certify |f'(root)| =
     |f'(x0)| and return the root to the residual_prec - e_fp digits that
     |x - root| = |z - f(x)| / |f'(x)| proves.
 
-    Every iterate is an exact point: one known to fewer digits than the
-    working precision is padded with zero digits, so only the residual
-    bounds how far it is from the root.
+    Every iterate is an exact point, padded with zero digits to x0's
+    precision, so only the residual bounds how far it is from the root
+    and no iterate drops the digits x0 carries past the working
+    precision.
 
-    A scheduled (Newton, v(f'(x0)) <= 0) step from a residual of
-    valuation w certifies the next residual to valuation
-    B(w) = 2w + e_m2 - 2e_fp, so it needs that residual only modulo
-    q^(B(w) + 1) and f'(x) only to the residual's relative precision:
-    step i evaluates at about 2^i digits.  The plan follows the measured
-    valuation: a residual whose digits cannot carry a step from it is
-    evaluated again at the digits it needs, and one that is zero to the
-    plan, or certified below it, at the working precision.  A step whose
-    bound reaches the goal runs at the working precision.
+    A Newton step from a residual of valuation w certifies the next
+    residual to valuation B(w) = 2w + e_m2 - 2e_fp, so it needs that
+    residual only modulo q^(B(w) + 1) and f'(x) only to the residual's
+    relative precision: step i evaluates at about 2^i digits.  The plan
+    follows the measured valuation: a residual whose digits cannot carry
+    a step from it is evaluated again at the digits it needs, and one
+    that is zero to the plan, or certified below it, at the working
+    precision.  A step whose bound reaches the goal, and every step of
+    the frozen-slope map, runs at the working precision.
 
     The first step reuses f(x0) and f'(x0) from the problem state."""
     f, z, prec = problem.f, problem.z, state.prec
@@ -171,7 +172,7 @@ def _solve(problem: HenselProblem, state: _ProblemState, newton: bool,
         """Digits of a residual of valuation w that carry a step: all of
         them for a step that can reach the goal."""
         b = bound(w) + 1
-        return prec if not scheduled or b >= goal else min(prec, b)
+        return prec if not newton or b >= goal else min(prec, b)
 
     def residual(x: FieldElement, t: int) -> FieldElement:
         """z - f(x) modulo q^t; refused at the working precision when
@@ -181,11 +182,10 @@ def _solve(problem: HenselProblem, state: _ProblemState, newton: bool,
 
     def slope(x: FieldElement, r: FieldElement) -> FieldElement:
         """f'(x), on the schedule to the relative precision of r."""
-        if scheduled:
-            t = min(prec, r.abs_precision - r.valuation + e_fp)
-            fpx = state.fprime.eval(x, t)
-            if not fpx.is_zero_to_precision and fpx.abs_precision == t:
-                return fpx
+        t = min(prec, r.abs_precision - r.valuation + e_fp)
+        fpx = state.fprime.eval(x, t)
+        if not fpx.is_zero_to_precision and fpx.abs_precision == t:
+            return fpx
         fpx = _eval_at_least(state.fprime, x, prec, 1)
         if fpx.is_zero_to_precision:
             raise DerivativeIndistinguishableFromZero(
@@ -199,7 +199,7 @@ def _solve(problem: HenselProblem, state: _ProblemState, newton: bool,
         w = r.valuation
         trace.append(Magnitude(q, state.e_m2 + w - 2 * e_fp))
         a = inv0 if x is problem.x0 or not newton else slope(x, r).inverse()
-        x = _as_exact(x + a * r, prec)
+        x = _as_exact(x + a * r, problem.x0.abs_precision)
         t = carry(bound(w))
         r = residual(x, t)
         if t < prec:
@@ -229,7 +229,8 @@ def _solve(problem: HenselProblem, state: _ProblemState, newton: bool,
 def hensel_solve(problem: HenselProblem) -> RootCertificate:
     """Iterate x <- x + f'(x)^(-1) (z - f(x)) until the residual proves
     the root modulo q^target_prec; quadratic convergence certified by the
-    b trace."""
+    b trace.  One pass from x0, on the precision schedule whatever
+    v(f'(x0)) is."""
     state = _problem_state(problem)
     report = _hypotheses(problem, state)
     if not report.sufficient:
@@ -237,12 +238,7 @@ def hensel_solve(problem: HenselProblem) -> RootCertificate:
             f"h_close={report.h_close} h_quadratic={report.h_quadratic} "
             f"h_single={report.h_single}")
     _require_target(problem, state)
-    if state.fp0.valuation <= 0:
-        try:
-            return _solve(problem, state, newton=True, scheduled=True)
-        except PrecisionExhausted:
-            pass    # a scheduled iterate can land where eval certifies less
-    return _solve(problem, state, newton=True, scheduled=False)
+    return _solve(problem, state, newton=True)
 
 
 def fixed_point_solve(problem: HenselProblem) -> RootCertificate:
@@ -254,7 +250,7 @@ def fixed_point_solve(problem: HenselProblem) -> RootCertificate:
     if not _hypotheses(problem, state).h_quadratic:
         raise ContractionFails(
             "t * M2 >= |f'(x0)|: the auxiliary map is not a contraction")
-    return _solve(problem, state, newton=False, scheduled=False)
+    return _solve(problem, state, newton=False)
 
 
 def strassmann_bound(f: TruncatedSeries, m: int, from_index: int = 0) -> StrassmannReport:

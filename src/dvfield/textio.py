@@ -86,7 +86,7 @@ def parse_element(text: str, descriptor: FieldDescriptor,
     pos = 0
     while True:
         if pos == len(s):
-            raise ParseError("dangling '+'", offset + pos)
+            raise ParseError("dangling '+'" if pos else "expected a term", offset + pos)
         if rel_prec is not None:
             raise ParseError("precision marker must come last", offset + pos)
         m = term_re.match(s, pos)

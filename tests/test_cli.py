@@ -138,6 +138,10 @@ def element(text):
     return parse_element(text, Q5, 8)
 
 
+def laurent(text):
+    return parse_element(text, L3, 8)
+
+
 def series(text):
     return parse_series(text, Q5, 8)
 
@@ -155,6 +159,11 @@ class TestBoundaryRefusals:
         (element, " 1 + y", ParseError, "unrecognized term", 5),
         (element, "1 + 2", ParseError, "duplicate exponent 0", 4),
         (element, "1 + ", ParseError, "dangling '+'", 3),
+        (element, "", ParseError, "expected a term", 0),
+        (element, "  ", ParseError, "expected a term", 2),
+        (element, "5^2 *", ParseError, "expected a term", 5),
+        (laurent, "", ParseError, "expected a term", 0),
+        (ball, "@1", ParseError, "expected a term", 0),
         (element, " 1*5^3 + O(5^2)", ParseError,
          "digit exponent 3 at or beyond precision 2", 1),
         (ball, "1/2", ParseError, "ball literal needs '@<radius_exponent>'", 3),

@@ -37,6 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solve_model as model
+from dvfield import rootfind
 from dvfield.localfield import FieldElement, Qp, laurent_field
 from dvfield.rootfind import (HenselProblem, _as_exact, _problem_state,
                               fixed_point_solve, hensel_solve)
@@ -133,10 +134,11 @@ def padic_case(draw):
     z0 = Fraction(draw(st.sampled_from((0, 0, 1, -2, p))))
     coeffs[0] += z0
     f = polynomial(F, coeffs, W)
-    # x0 = r + p^k u, at the working precision (one more digit sometimes)
+    # x0 = r + p^k u, at the working precision (one or six more digits
+    # sometimes, which every iterate keeps)
     k = draw(st.integers(max(m, 0) + 1 if family != "negative" else 0, 6))
     u = draw(st.integers(1, p * p))
-    x_prec = W + draw(st.sampled_from((0, 0, 1)))
+    x_prec = W + draw(st.sampled_from((0, 0, 1, 6)))
     x0 = FieldElement.from_rational(F, r.numerator + p ** k * u * r.denominator,
                                     r.denominator, x_prec)
     z = FieldElement.from_rational(F, z0.numerator, z0.denominator, W)
@@ -362,6 +364,22 @@ FOUND = {
     "derivative read before the cut": (HenselProblem(
         TruncatedSeries(_L3, (_e(_L3, 6, [1, 2], 8), _e(_L3, 3, [2, 2, 2], 6))),
         _e(_L3, 2, [1, 1, 1], 5), FieldElement.zero_to_precision(_L3, 9), 1, 1), None),
+    # x0 known one digit past the working precision 14, with v(a1) = -1:
+    # an iterate cut to the working precision drops x0's last digit, and
+    # eval there certifies only 13 digits
+    "x0 known past the working precision": (HenselProblem(
+        TruncatedSeries(_Q3, (_e(_Q3, -1, [1, 2, 2, 1, 1, 2, 0, 0, 0, 1, 2, 2, 1, 2, 1], 14),
+                              _e(_Q3, -1, [1, 2, 2, 1, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0,
+                                           1], 16))),
+        _e(_Q3, -1, [1, 2, 2, 2, 2, 1, 2, 1, 0, 0, 2, 0, 1, 0, 0, 0], 15),
+        FieldElement.zero_to_precision(_Q3, 16), -1, 14), None),
+    # (X - 3)(X - 35)/3 from 12, known one digit past the working
+    # precision 10: the solve once ran again from x0 after an iterate cut
+    # to the working precision certified too few digits
+    "a restart from x0": (HenselProblem(
+        polynomial(_Q3, [35, Fraction(-38, 3), Fraction(1, 3)], 10),
+        FieldElement.from_rational(_Q3, 12, 1, 11), FieldElement.zero_to_precision(_Q3, 10),
+        0, 10), [Fraction(3), Fraction(35)]),
 }
 
 
@@ -369,6 +387,32 @@ FOUND = {
 def test_found_cases_match_the_model(name):
     problem, roots = FOUND[name]
     check(problem, roots, hensel_solve, model.hensel_solve)
+
+
+def test_x0_known_past_the_working_precision_is_answered():
+    """Both solvers keep x0's 15th digit in every iterate and prove all
+    15 digits of -a0/a1."""
+    problem, _ = FOUND["x0 known past the working precision"]
+    a0, a1 = problem.f.coeffs
+    for solve in (hensel_solve, fixed_point_solve):
+        cert = solve(problem)
+        assert cert.root.abs_precision == 15
+        assert agrees(cert.root, -a0 / a1, 15)
+
+
+def test_a_restart_from_x0_is_one_pass(monkeypatch):
+    """One solve loop from x0 gives the certificate the second pass gave."""
+    problem, roots = FOUND["a restart from x0"]
+    passes = []
+    solve_loop = rootfind._solve
+    monkeypatch.setattr(rootfind, "_solve",
+                        lambda *a, **k: passes.append(1) or solve_loop(*a, **k))
+    cert = hensel_solve(problem)
+    assert len(passes) == 1
+    assert (cert.root.abs_precision, cert.residual_prec, cert.uniqueness_exponent,
+            tuple(b.exponent for b in cert.b_trace),
+            cert.derivative_magnitude.exponent) == (11, 10, 2, (2, 4, 8), -1)
+    assert exact_digits_agree(cert.root, roots[:1], 11)
 
 
 def test_a_digit_faster_claims_only_certified_digits():
