@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tupl
 
 from .errors import DomainError, InsufficientPrecision
 from .localfield import FieldDescriptor, FieldElement, as_exact
+from .valuation import INFINITY
 
 if TYPE_CHECKING:
     from .series import TruncatedSeries
@@ -53,10 +54,11 @@ class BallSpec:
         return Fraction(self.descriptor.q) ** (-self.radius_exponent)
 
     def sort_key(self):
-        """Radius exponent, then the center's valuation, unit and
-        precision: a total order on balls that reads no digits."""
+        """Radius exponent, then the center's valuation (its precision
+        when zero), unit and precision: a total order reading no digits."""
         c = self.center
-        return (self.radius_exponent, c.valuation_lower_bound, c.unit, c.abs_precision)
+        v, n = c.valuation, c.abs_precision
+        return (self.radius_exponent, n if v is INFINITY else v, c.unit, n)
 
 
 BallFamily = Tuple[BallSpec, ...]
@@ -88,11 +90,11 @@ def ball_relation(b1: BallSpec, b2: BallSpec) -> BallRelation:
     return BallRelation.FIRST_INSIDE_SECOND
 
 
-def _prefix(c: FieldElement, r: int) -> Tuple[object, int]:
-    """c modulo q^r as a hashable (valuation, unit) pair, for r at most
-    c's precision: equal exactly when two centers agree modulo q^r."""
-    t = c.truncate(r)
-    return t.valuation, t.unit
+def _prefix(K, v, u: int, r: int) -> Optional[Tuple[int, int]]:
+    """A center (v, u) modulo q^r, r at most its precision, as a hashable
+    (valuation, unit) pair, None when zero there, by one truncation of the
+    unit int in the kernels K: equal exactly when centers agree mod q^r."""
+    return None if v is INFINITY or v >= r else (v, K.truncate(u, r - v))
 
 
 def maximal_disjointify(family: Iterable[BallSpec]) -> BallFamily:
@@ -106,34 +108,41 @@ def maximal_disjointify(family: Iterable[BallSpec]) -> BallFamily:
     canonical center.  One pass over the balls, big ones first, keeps
     the canonical centers of the kept balls per radius exponent; a ball
     is absorbed when its center's prefix at some kept radius is there.
-    That is one truncation and one hash lookup per distinct kept radius,
-    O(n * #radii), where comparing every pair of balls was O(n^2).
+    That is one truncation of the center's unit int, building no element,
+    and one hash lookup per kept radius: O(n * #radii), not O(n^2) pairs.
 
     Raises ValueError for a family over more than one field and
     InsufficientPrecision for a center known below its radius exponent."""
     balls = sorted(family, key=BallSpec.sort_key)
-    for b in balls:
-        if b.descriptor != balls[0].descriptor:
-            raise ValueError("mismatched field descriptors")
-        _require_precision(b.center, b.radius_exponent)
     kept: List[BallSpec] = []
     # kept radius exponent -> prefixes of the kept centers; radii arrive
     # in ascending order, all at most the current ball's
     prefixes: Dict[int, set] = {}
     for b in balls:
-        c = b.center
-        if not any(_prefix(c, r) in seen for r, seen in prefixes.items()):
+        # checked before its prefixes: the first bad ball in order decides
+        c, d = b.center, balls[0].center.descriptor
+        if c.descriptor is not d and c.descriptor != d:
+            raise ValueError("mismatched field descriptors")
+        _require_precision(c, b.radius_exponent)
+        v, u = c.valuation, c.unit
+        for r, seen in prefixes.items():
+            if _prefix(d.arith, v, u, r) in seen:
+                break
+        else:
             prefixes.setdefault(b.radius_exponent, set()).add(
-                _prefix(c, b.radius_exponent))
+                _prefix(d.arith, v, u, b.radius_exponent))
             kept.append(b)
     return tuple(kept)
 
 
 def haar_union_measure(family: Iterable[BallSpec]) -> RationalMeasure:
-    """H(union), normalized with H(unit ball) = 1: the sum of q^(-j)
-    over the maximal disjoint subfamily."""
-    return sum((b.measure() for b in maximal_disjointify(family)),
-               start=Fraction(0))
+    """H(union), normalized with H(unit ball) = 1: over the maximal balls,
+    sum q^(-j) = (sum q^(J - j)) / q^J, J the largest j, in one exact sum."""
+    kept = maximal_disjointify(family)
+    if not kept:
+        return Fraction(0)
+    q, J = kept[0].descriptor.q, kept[-1].radius_exponent
+    return sum(q ** (J - b.radius_exponent) for b in kept) / Fraction(q) ** J
 
 
 def scale_family(c: FieldElement, family: Iterable[BallSpec]
@@ -342,14 +351,15 @@ def image_measure(f: TruncatedSeries, ball: BallSpec,
     subfamily = tuple(subfamily)
     # a member lies inside the ball when it is no larger and its center
     # agrees with the ball's canonical center modulo q^j
-    j = ball.radius_exponent
+    j, K = ball.radius_exponent, ball.descriptor.arith
     _require_precision(ball.center, j)
-    center = _prefix(ball.center, j)
+    center = _prefix(K, ball.center.valuation, ball.center.unit, j)
     for b in subfamily:
         if b.descriptor != ball.descriptor:
             raise ValueError("mismatched field descriptors")
         _require_precision(b.center, b.radius_exponent)
-        if b.radius_exponent < j or _prefix(b.center, j) != center:
+        c = b.center
+        if b.radius_exponent < j or _prefix(K, c.valuation, c.unit, j) != center:
             raise DomainError("subfamily member not contained in the ball")
     q = ball.descriptor.q
     return Fraction(q) ** (-e_fp) * haar_union_measure(subfamily)

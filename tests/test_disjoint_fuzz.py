@@ -4,9 +4,12 @@ Fields: Q_p and F_q((T)) for q in {2, 3, 5, 7}.  Families mix fresh
 balls, duplicates, balls of an existing ball's radius and chains of
 nested balls; centers may have negative valuation, radius exponents may
 be negative, and some centers carry digits beyond the radius (balls built
-directly, not through `BallSpec.make`).
+directly, not through `BallSpec.make`).  Seeded families of about 1000
+balls in n // 25 anchors, the size of the benchmark's largest unions,
+are checked the same way.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -86,7 +89,91 @@ def test_same_tuple_as_the_pairwise_scan(balls):
     got = maximal_disjointify(balls)
     assert got == model.maximal_disjointify(balls)
     assert maximal_disjointify(reversed(balls)) == got
-    assert haar_union_measure(balls) == sum((b.measure() for b in got), Fraction(0))
+    want = sum((b.measure() for b in model.maximal_disjointify(balls)), Fraction(0))
+    assert haar_union_measure(balls) == want
+
+
+@st.composite
+def any_ball(draw):
+    """A ball as `ball` draws it, or one with a zero center stored above
+    its radius."""
+    F = descriptor(*draw(st.sampled_from(SMALL)))
+    j, extra = draw(st.integers(-3, 7)), draw(st.sampled_from((0, 2)))
+    if draw(st.booleans()):
+        return BallSpec(FieldElement.zero_to_precision(F, j + extra), j)
+    return draw(ball(F, j, extra))
+
+
+@FUZZ
+@given(any_ball())
+def test_sort_key_is_the_valuation_lower_bound_order(b):
+    c = b.center
+    key = (b.radius_exponent, c.valuation_lower_bound, c.unit, c.abs_precision)
+    assert b.sort_key() == key
+
+
+def test_sort_key_of_a_zero_center():
+    b = BallSpec(FieldElement.zero_to_precision(Qp(5), 5), 3)
+    assert b.sort_key() == (3, 5, 0, 5)
+
+
+def large_family(F, n, seed):
+    """About n balls in n // 25 anchors of radius exponent -1, seeded:
+    digits from below the anchors' radius (negative valuations), radius
+    exponents from -2 up, some centers with two digits beyond the radius,
+    a few loose balls anywhere, and a zero center stored above its radius
+    beside a nonzero center of valuation at least that radius: the same
+    ball twice."""
+    rng = random.Random(f"{F}:{seed}")
+    q, count, ja = F.q, n // 25, -1
+    low = ja - 1
+    while q ** (ja - low) < 2 * count:
+        low -= 1
+
+    def spec(digits, j):
+        extra = rng.choice((0, 0, 0, 2))
+        digits = digits + [rng.randrange(q) for _ in range(j + extra - low - len(digits))]
+        return BallSpec(FieldElement.from_digits(F, low, digits, j + extra), j)
+    anchors = [[rng.randrange(q) for _ in range(ja - low)] for _ in range(count)]
+    balls = [spec(a, ja) for a in anchors]
+    balls += [spec([], rng.randint(ja - 1, ja + 3)) for _ in range(8)]
+    while len(balls) < n:
+        balls.append(spec(rng.choice(anchors), rng.randint(ja, ja + 4)))
+    j = rng.randint(ja - 1, ja + 4)
+    balls.append(BallSpec(FieldElement.zero_to_precision(F, j + 2), j))
+    balls.append(BallSpec(FieldElement.from_digits(F, j, [1 + rng.randrange(q - 1), 1], j + 2), j))
+    rng.shuffle(balls)
+    return balls
+
+
+@pytest.mark.parametrize("F", [Qp(2), Qp(7), laurent_field(3), laurent_field(7)],
+                         ids=["Q_2", "Q_7", "F_3((T))", "F_7((T))"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_large_seeded_families_match_the_model(F, seed):
+    balls = large_family(F, 1000, seed)
+    want = model.maximal_disjointify(balls)
+    assert maximal_disjointify(balls) == want
+    assert haar_union_measure(balls) == sum((b.measure() for b in want), Fraction(0))
+    assert any(b.radius_exponent < 0 for b in want)
+    assert any(b.center.valuation_lower_bound < 0 for b in want)
+    assert len(want) >= 1000 // 25 // 2
+
+
+@pytest.mark.parametrize("F", [Qp(3), laurent_field(3)])
+def test_a_zero_center_above_its_radius_is_a_ball_around_zero(F):
+    zero = BallSpec(FieldElement.zero_to_precision(F, 4), 2)
+    near = BallSpec(FieldElement.from_digits(F, 2, [1, 2], 4), 2)
+    far = BallSpec(FieldElement.from_digits(F, 1, [1, 2, 1], 4), 2)
+    for fam in ([zero, near], [near, zero], [far, zero, near]):
+        assert maximal_disjointify(fam) == model.maximal_disjointify(fam)
+    assert maximal_disjointify([zero, near]) == (near,)
+    assert haar_union_measure([far, zero, near]) == Fraction(2, 9)
+
+
+def test_the_empty_family():
+    assert maximal_disjointify([]) == () == model.maximal_disjointify([])
+    assert haar_union_measure([]) == Fraction(0)
+    assert type(haar_union_measure([])) is Fraction
 
 
 @st.composite

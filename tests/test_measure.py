@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import disjoint_model
 from dvfield.errors import (DomainError, InsufficientPrecision,
                             PrecisionExhausted)
 from dvfield.localfield import FieldElement, Qp, laurent_field
@@ -150,6 +151,33 @@ class TestUnionMeasure:
         radii = {j for _, j in spec}
         assert calls["truncate"] <= len(fam) * (len(radii) + 1)
         assert got == Fraction(80, 5 ** 3)      # every other ball is in an anchor
+
+    @pytest.mark.parametrize("desc", [Q5, laurent_field(3)])
+    def test_scan_builds_no_element(self, monkeypatch, desc):
+        """400 balls in 16 anchors: with element construction and
+        truncation made to raise once the family is built, the scan and the
+        union measure still give the pairwise model's answer, so no
+        element is made per (ball, radius) pair."""
+        rng = random.Random(19)
+        anchors = [[rng.randrange(desc.q) for _ in range(4)] for _ in range(16)]
+        fam = []
+        for _ in range(400):
+            j = rng.randint(4, 8)
+            digits = rng.choice(anchors) + [rng.randrange(desc.q) for _ in range(j - 4)]
+            fam.append(BallSpec.make(FieldElement.from_digits(desc, 0, digits, j), j))
+        want = disjoint_model.maximal_disjointify(fam)
+        measure_want = sum((b.measure() for b in want), Fraction(0))
+
+        def refuse(*args):
+            raise AssertionError("an element was built")
+        monkeypatch.setattr(FieldElement, "truncate", refuse)
+        monkeypatch.setattr(FieldElement, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="element was built"):
+            FieldElement.zero_to_precision(desc, 1)
+        assert maximal_disjointify(fam) == want
+        assert haar_union_measure(fam) == measure_want
+        monkeypatch.undo()
+        assert len(want) < 50 < len(set(fam))
 
     @pytest.mark.parametrize("desc", [Q5, laurent_field(3)])
     def test_union_reads_no_digits(self, monkeypatch, desc):
