@@ -67,7 +67,6 @@ _EXPORTS = {
     "special": ("e_min", "exp_eval", "exp_series", "log_solve"),
     "valuation": (
         "INFINITY",
-        "Magnitude",
         "Valuation",
         "factorial_valuation",
         "is_infinite",

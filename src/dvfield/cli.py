@@ -114,8 +114,7 @@ def _cmd_hensel(args) -> int:
         "root": _element_json(root),
         "residual_prec": cert.residual_prec,
         "uniqueness_exponent": cert.uniqueness_exponent,
-        "b_trace_exponents": [None if b.is_zero else b.exponent
-                              for b in cert.b_trace],
+        "b_trace_exponents": [None if is_infinite(b) else b for b in cert.b_trace],
     }
     return _emit(args, render_element(root), payload)
 

@@ -26,7 +26,7 @@ from typing import Sequence, Tuple
 
 from .arith import LaurentArith, PadicArith
 from .errors import DivisionByIndistinguishableZero, DomainError, PrecisionExhausted
-from .valuation import INFINITY, Magnitude, Valuation, is_infinite, require_prime
+from .valuation import INFINITY, Valuation, is_infinite, require_prime
 
 
 class FieldKind(enum.Enum):
@@ -156,12 +156,6 @@ class FieldElement:
         if self.is_zero_to_precision:
             return self.abs_precision
         return self.valuation
-
-    def magnitude(self) -> Magnitude:
-        if self.is_zero_to_precision:
-            raise PrecisionExhausted(
-                "magnitude undetermined: element indistinguishable from zero")
-        return Magnitude(self.descriptor.q, self.valuation)
 
     # -- arithmetic --------------------------------------------------
 

@@ -312,15 +312,9 @@ def _certify_similarity(f: TruncatedSeries, ball: BallSpec
                         ) -> Optional[Tuple[BallSpec, int]]:
     j = ball.radius_exponent
     c = as_exact(ball.center, max(f.working_precision, j + 1))
-    enclosing = min(c.valuation_lower_bound, j)
-    f.require_radius(enclosing)
-    # truncate raises PrecisionExhausted when eval falls short
-    fp = f.derivative().eval(c, c.abs_precision).truncate(c.abs_precision)
-    if fp.is_zero_to_precision:
-        return None
-    e_fp = fp.valuation
-    e_m2 = f.sup_exponent(enclosing, 2)
-    if not (e_m2 + j > e_fp):
+    # the ball lies in the one about 0 of radius exponent min(v(c), j)
+    e_fp = f.isometry_criterion(min(c.valuation_lower_bound, j), c, j)
+    if e_fp is None:
         return None
     image_j = j + e_fp
     t = min(f.working_precision, c.abs_precision)

@@ -2,8 +2,8 @@
 
 One solve loop, x <- x + a^(-1) (z - f(x)), with two update rules:
 Newton (Hensel) refreshes a = f'(x) at every step, the fixed-point map
-freezes a = f'(x0).  Around it: hypothesis checks in exact magnitude
-arithmetic, Strassmann zero bounds, and a desk-scale exhaustive root
+freezes a = f'(x0).  Around it: hypothesis checks on integer
+valuations, Strassmann zero bounds, and a desk-scale exhaustive root
 enumerator used to verify both.
 """
 
@@ -25,7 +25,7 @@ from .errors import (
 )
 from .localfield import FieldElement, as_exact as _as_exact
 from .series import TruncatedSeries
-from .valuation import Magnitude, Valuation
+from .valuation import Valuation
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class RootCertificate:
     root: FieldElement
     residual_prec: int
     uniqueness_exponent: int
-    b_trace: Tuple[Magnitude, ...]
-    derivative_magnitude: Magnitude
+    b_trace: Tuple[Valuation, ...]      # v(b_l), INFINITY when M2 = 0
+    derivative_valuation: int
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,6 @@ def _solve(problem: HenselProblem, state: _ProblemState,
 
     The first step reuses f(x0) and f'(x0) from the problem state."""
     f, z, prec = problem.f, problem.z, state.prec
-    q = f.descriptor.q
     e_fp = state.fp0.valuation
     goal = problem.target_prec + max(e_fp, 0)
 
@@ -194,10 +193,10 @@ def _solve(problem: HenselProblem, state: _ProblemState,
 
     x, r = problem.x0, state.d0
     inv0 = state.fp0.inverse()
-    trace: List[Magnitude] = []
+    trace: List[Valuation] = []
     while r.valuation_lower_bound < goal:
         w = r.valuation
-        trace.append(Magnitude(q, state.e_m2 + w - 2 * e_fp))
+        trace.append(state.e_m2 + w - 2 * e_fp)
         a = inv0 if x is problem.x0 or not newton else slope(x, r).inverse()
         x = _as_exact(x + a * r, problem.x0.abs_precision)
         t = carry(bound(w))
@@ -222,7 +221,7 @@ def _solve(problem: HenselProblem, state: _ProblemState,
         residual_prec=r.valuation_lower_bound,
         uniqueness_exponent=state.d0.valuation_lower_bound - e_fp,
         b_trace=tuple(trace),
-        derivative_magnitude=fpr.magnitude(),
+        derivative_valuation=e_fp,
     )
 
 
@@ -290,9 +289,10 @@ def strassmann_bound(f: TruncatedSeries, m: int, from_index: int = 0) -> Strassm
 
 def enumerate_roots(f: TruncatedSeries, m: int, scan_depth: int = 4,
                     target_prec: Optional[int] = None) -> List[RootCertificate]:
-    """All roots of f in the closed ball of radius q^(-m), found by
-    scanning residue classes to scan_depth, lifting every class where the
-    hypotheses hold, and deflating found roots out before rescanning.
+    """All roots of f in the closed ball of radius q^(-m), each to at
+    least target_prec digits, found by scanning residue classes to
+    scan_depth, lifting every class where the hypotheses hold, and
+    deflating found roots out before rescanning.
 
     Raises UndecidedMultipleRoot when a class reaches scan_depth with
     f and f' both indistinguishable from zero there.
@@ -310,7 +310,10 @@ def enumerate_roots(f: TruncatedSeries, m: int, scan_depth: int = 4,
 
     certs: List[RootCertificate] = []
     for g, cert in found:
-        if any(cert.root.agrees_with(c.root, target_prec) for c in certs):
+        # one root found twice agrees to the digits both certificates prove
+        if any(cert.root.agrees_with(c.root, min(cert.root.abs_precision,
+                                                  c.root.abs_precision))
+               for c in certs):
             continue
         if g is not f:
             # a certificate on a deflated series states |g'(root)|, not |f'(root)|
@@ -365,7 +368,10 @@ def _scan_class(s: _Scanned, m: int, center: FieldElement, level: int,
         if close_in_class and quadratic:
             zero = FieldElement.zero_to_precision(f.descriptor,
                                                   f.working_precision)
-            cert = hensel_solve(HenselProblem(f, center, zero, m, target_prec))
+            # to every digit f(center) carries: the deflation below needs
+            # the root past the target, or g0 keeps a trace of it
+            t = max(target_prec, w.abs_precision - max(e_fp, 0))
+            cert = hensel_solve(HenselProblem(f, center, zero, m, t))
             out.append((f, cert))
             # the root is unique in this class; strip it and rescan for others
             g0 = f.deflate(_as_exact(cert.root, f.working_precision), m)

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import DomainError, InsufficientPrecision
 from .localfield import FieldDescriptor, FieldElement
-from .valuation import INFINITY, Magnitude, Valuation
+from .valuation import INFINITY, Valuation
 
 
 @dataclass(frozen=True)
@@ -265,17 +265,21 @@ class TruncatedSeries:
     # -- analytic criteria --------------------------------------------------
 
     def isometry_criterion(self, m: int, y: FieldElement,
-                           separation_exponent: int) -> Tuple[bool, Magnitude]:
-        """Whether M2(q^(-m)) * q^(-separation) < |f'(y)|, certifying
-        |f(x) - f(y)| = |f'(y)| |x - y| for v(x - y) >= separation."""
+                           separation_exponent: int) -> Optional[int]:
+        """v(f'(y)) when M2(q^(-m)) * q^(-separation) < |f'(y)| is
+        certified, which gives |f(x) - f(y)| = |f'(y)| |x - y| for
+        v(x - y) >= separation; None otherwise, f'(y) zero to its
+        precision included."""
+        self.require_radius(m)
         if y.valuation_lower_bound < m:
             raise DomainError("y lies outside the ball")
         # truncate raises PrecisionExhausted when eval falls short
         fp = self.derivative().eval(y, y.abs_precision).truncate(y.abs_precision)
-        fp_mag = fp.magnitude()
-        e_m2 = self.sup_exponent(m, 2)
-        certified = e_m2 + separation_exponent > fp_mag.exponent
-        return certified, fp_mag
+        if fp.is_zero_to_precision:
+            return None
+        if self.sup_exponent(m, 2) + separation_exponent > fp.valuation:
+            return fp.valuation
+        return None
 
 
 def _horner(K, coeffs: Sequence[FieldElement],

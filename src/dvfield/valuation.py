@@ -1,14 +1,15 @@
-"""Integer valuation arithmetic and the exact magnitude algebra.
+"""Integer valuation arithmetic: INFINITY, primality, and the p-adic
+valuations of a rational and of j!.
 
-Every "absolute value" in this library is carried as an integer exponent
-(a Magnitude), never as a float: for a discretely valued field the nonzero
-magnitudes are exactly the integer powers of one fixed ratio, so reversed
-integer comparison reproduces the real-number comparison exactly.
+Every absolute value in this library is carried as its valuation v, the
+exponent of |x| = q^(-v), with INFINITY for zero, never as a float: for a
+discretely valued field the nonzero absolute values are exactly the
+integer powers of one fixed ratio, so reversed integer comparison
+reproduces the real-number comparison exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -128,55 +129,3 @@ def factorial_valuation(p: int, j: int) -> int:
         total += j // power
         power *= p
     return total
-
-
-@dataclass(frozen=True)
-class Magnitude:
-    """q^(-exponent); exponent INFINITY denotes the zero magnitude.
-
-    Products add exponents, and order comparisons are reversed exponent
-    comparisons.
-    """
-
-    base_q: int
-    exponent: Valuation
-
-    def __post_init__(self):
-        if self.base_q < 2:
-            raise ValueError("base_q must be at least 2")
-
-    @classmethod
-    def zero(cls, q: int) -> "Magnitude":
-        return cls(q, INFINITY)
-
-    @property
-    def is_zero(self) -> bool:
-        return is_infinite(self.exponent)
-
-    def _check(self, other: "Magnitude") -> None:
-        if not isinstance(other, Magnitude):
-            raise TypeError("expected a Magnitude")
-        if other.base_q != self.base_q:
-            raise ValueError("mismatched base_q")
-
-    def __mul__(self, other: "Magnitude") -> "Magnitude":
-        self._check(other)
-        return Magnitude(self.base_q, self.exponent + other.exponent)
-
-    def inverse(self) -> "Magnitude":
-        if self.is_zero:
-            raise ZeroDivisionError("zero magnitude has no inverse")
-        return Magnitude(self.base_q, -self.exponent)
-
-    def __lt__(self, other: "Magnitude") -> bool:
-        self._check(other)
-        return other.exponent < self.exponent
-
-    def __le__(self, other: "Magnitude") -> bool:
-        self._check(other)
-        return other.exponent <= self.exponent
-
-    def __repr__(self):
-        if self.is_zero:
-            return f"Magnitude(0, base={self.base_q})"
-        return f"Magnitude({self.base_q}^{-self.exponent})"

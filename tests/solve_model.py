@@ -21,7 +21,7 @@ from dvfield.errors import (ContractionFails,
 from dvfield.localfield import FieldElement
 from dvfield.rootfind import (HenselProblem, RootCertificate, _ProblemState,
                               _eval_at_least, _hypotheses, _problem_state)
-from dvfield.valuation import Magnitude
+from dvfield.valuation import Valuation
 
 
 def _require_target(problem: HenselProblem, state: _ProblemState) -> None:
@@ -36,16 +36,15 @@ def _solve(problem: HenselProblem, state: _ProblemState,
     """Iterate x <- x + step(x) * (z - f(x)) from x0 until the residual
     vanishes modulo q^target_prec, then certify |f'(root)| = |f'(x0)|."""
     f, z, target = problem.f, problem.z, problem.target_prec
-    q = f.descriptor.q
     e_fp = state.fp0.valuation
     x = problem.x0
-    trace: List[Magnitude] = []
+    trace: List[Valuation] = []
     while True:
         fx = _eval_at_least(f, x, state.prec, target)
         r = z.truncate(min(z.abs_precision, fx.abs_precision)) - fx
         if r.valuation_lower_bound >= target:
             break
-        trace.append(Magnitude(q, state.e_m2 + r.valuation - 2 * e_fp))
+        trace.append(state.e_m2 + r.valuation - 2 * e_fp)
         x = x + step(x) * r
         if len(trace) > 4 * target + 8:
             raise PrecisionExhausted("iteration failed to converge")
@@ -58,7 +57,7 @@ def _solve(problem: HenselProblem, state: _ProblemState,
         residual_prec=r.valuation_lower_bound,
         uniqueness_exponent=state.d0.valuation_lower_bound - e_fp,
         b_trace=tuple(trace),
-        derivative_magnitude=fpr.magnitude(),
+        derivative_valuation=fpr.valuation,
     )
 
 

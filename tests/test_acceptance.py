@@ -81,7 +81,7 @@ def test_criterion_2_hensel_square_root_oracle():
         sq = (root * root).truncate(8)
         assert sq.agrees_with(el(Qp(p), c, 1, 8), 8)
         # quadratic convergence of the b trace
-        exps = [b.exponent for b in cert.b_trace]
+        exps = cert.b_trace
         for a, b in zip(exps, exps[1:]):
             assert b >= 2 * a
     print("criterion 2 (Hensel square roots, 20 x p in 3,5,7,11): PASS")

@@ -407,6 +407,12 @@ def test_readme_lists_examples():
     (["val", "-p", "3", "--laurent", "O(T^5)"], 0, ">= 5"),
     (["val", "-p", "3", "--laurent", "--json", "O(T^5)"], 0,
      '{"valuation_lower_bound": 5}'),
+    (["dim", "-p", "5", "alpha", "--snowflake", "0"], 2,
+     "DomainError: snowflake exponent must be positive"),
+    (["roots", "-p", "3", "-N", "8", "--f", "3*X^3"], 2,
+     "UndecidedMultipleRoot: class at depth 4 has"),
+    # both square roots of 6, though they agree modulo 5^0
+    (["roots", "-p", "5", "-N", "0", "--f", "X^2-6", "--json"], 0, '"count": 2'),
 ])
 def test_refusals_and_edge_answers_do_not_raise(capsys, argv, code, printed):
     assert run(argv) == code

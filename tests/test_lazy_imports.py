@@ -34,8 +34,8 @@ EXPORTS = {
                  "fixed_point_solve", "hensel_solve", "strassmann_bound"],
     "series": ["TailProfile", "TruncatedSeries", "polynomial"],
     "special": ["e_min", "exp_eval", "exp_series", "log_solve"],
-    "valuation": ["INFINITY", "Magnitude", "Valuation", "factorial_valuation",
-                  "is_infinite", "is_prime", "vp"],
+    "valuation": ["INFINITY", "Valuation", "factorial_valuation", "is_infinite",
+                  "is_prime", "vp"],
 }
 SUBMODULES = ["arith", *EXPORTS]
 
@@ -49,7 +49,7 @@ def fresh_python(*args: str) -> subprocess.CompletedProcess:
 class TestPackageSurface:
     def test_all_is_the_eager_surface(self):
         names = [n for names in EXPORTS.values() for n in names] + SUBMODULES
-        assert len(names) == 65
+        assert len(names) == 64
         assert dvfield.__all__ == sorted(names)
 
     def test_each_name_is_its_modules_attribute_and_is_cached(self):
@@ -68,6 +68,13 @@ class TestPackageSurface:
         with pytest.raises(AttributeError, match="no_such_name"):
             dvfield.no_such_name
         assert not hasattr(dvfield, "no_such_name")
+
+    def test_retired_magnitude_is_gone(self):
+        # absolute values are valuations: INFINITY or an int
+        with pytest.raises(AttributeError, match="Magnitude"):
+            dvfield.Magnitude
+        assert not hasattr(dvfield.valuation, "Magnitude")
+        assert not hasattr(dvfield.FieldElement, "magnitude")
 
     def test_star_import(self):
         namespace = {}

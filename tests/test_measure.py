@@ -230,6 +230,11 @@ class TestDimension:
     def test_snowflake_halves(self):
         assert hausdorff_alpha(Q5, 2).rational_value() == Fraction(1, 2)
 
+    @pytest.mark.parametrize("a", [0, Fraction(-1, 2)])
+    def test_snowflake_exponent_must_be_positive(self, a):
+        with pytest.raises(DomainError, match="snowflake exponent must be positive"):
+            hausdorff_alpha(Q5, a)
+
     def test_irrational_ratio_has_no_rational_value(self):
         dv = DimensionValue(2, 3)
         assert dv.rational_value() is None
@@ -266,6 +271,9 @@ class TestDigitSets:
         assert low.content_estimate.compare_to_one() == -1
         high = digit_set_analysis(3, [0, 2], 6, Fraction(1, 2))
         assert high.content_estimate.compare_to_one() == 1
+        # one digit at its own dimension, log 1 / log 3 = 0: 1^6 * 1 is 1
+        point = digit_set_analysis(3, [0], 6, DimensionValue(1, 3))
+        assert point.content_estimate.compare_to_one() == 0
 
     def test_content_approx_saturates(self):
         # beyond the float range the estimate reads inf, below it 0.0
@@ -375,6 +383,17 @@ class TestImage:
         # over Q2 the square map halves distances: t*M2 < |f'| fails
         f = polynomial(Q2, [0, 0, 1], 12)
         assert admissible_ball(f, ball(Q2, 1, 1, prec=12)) is None
+
+    def test_image_radius_at_the_working_precision_is_answered(self):
+        # x -> 1 + 25x on B(0, 5^-2): the image radius exponent is 2 + 2
+        f = polynomial(Q5, [1, 25], 4)
+        assert admissible_ball(f, ball(Q5, 0, 2, prec=12)) == ball(Q5, 1, 4, prec=12)
+
+    def test_image_radius_past_the_working_precision_is_refused(self):
+        f = polynomial(Q5, [1, 25], 3)
+        with pytest.raises(InsufficientPrecision,
+                           match="image radius exponent 4 exceeds working precision 3"):
+            admissible_ball(f, ball(Q5, 0, 2, prec=12))
 
     def test_center_finer_than_the_series_precision(self):
         # the center is lifted to precision 7, f' is known only modulo 5^4

@@ -78,14 +78,22 @@ class TestHenselSolve:
         sq = (root * root).truncate(8)
         assert sq.agrees_with(el(Q7, 2, 1, 8), 8)
         assert cert.residual_prec >= 8
-        assert cert.derivative_magnitude.exponent == 0
+        assert cert.derivative_valuation == 0
 
     def test_b_trace_is_quadratically_shrinking(self):
         cert = hensel_solve(sqrt_problem(Q7, 2, 3, prec=20, target=16))
-        exps = [b.exponent for b in cert.b_trace]
+        exps = cert.b_trace
         assert exps[0] == 1
         for a, b in zip(exps, exps[1:]):
             assert b >= 2 * a                     # b_{l+1} <= b_l^2
+
+    def test_linear_f_has_an_infinite_b_trace(self):
+        # 3 + 2X over Q_5: M2 = 0, so one step lands on the root
+        f = polynomial(Q5, [3, 2], 12)
+        cert = hensel_solve(HenselProblem(f, el(Q5, 1), zero(Q5), 0, 8))
+        assert cert.b_trace == (INFINITY,)
+        assert cert.derivative_valuation == 0
+        assert cert.root.agrees_with(el(Q5, -3, 2, 12), 8)
 
     def test_refuses_when_hypotheses_fail(self):
         with pytest.raises(HypothesesFail):
@@ -120,7 +128,7 @@ class TestFixedPoint:
         a = hensel_solve(sqrt_problem(Q7, 2, 3))
         b = fixed_point_solve(sqrt_problem(Q7, 2, 3))
         assert a.root.agrees_with(b.root, 8)
-        assert a.derivative_magnitude == b.derivative_magnitude
+        assert a.derivative_valuation == b.derivative_valuation
 
     def test_contraction_failure(self):
         # |z - f(x0)| = 1 = |f'(1)| over Q2: t * M2 is not below |f'|
@@ -180,6 +188,17 @@ class TestStrassmann:
         with pytest.raises(ValueError, match="scan_depth must be nonnegative"):
             enumerate_roots(polynomial(Q5, [5, 1], 10), 1, scan_depth=-1)
 
+    def test_zero_scan_depth_is_accepted(self):
+        # X - 1 is settled in the whole ball, before any residue class
+        certs = enumerate_roots(polynomial(Q5, [-1, 1], 8), 0, scan_depth=0)
+        assert [c.root.reduce_mod(8) for c in certs] == [1]
+
+    @pytest.mark.parametrize("depth", [0, 1, 4])
+    def test_scan_refuses_at_its_depth(self, depth):
+        # 3X^3 has a triple root at 0: every class down to the depth is live
+        with pytest.raises(UndecidedMultipleRoot, match=f"class at depth {depth} "):
+            enumerate_roots(polynomial(Q3, [0, 0, 0, 3], 12), 0, scan_depth=depth)
+
     def test_all_coefficients_undetermined(self):
         f = TruncatedSeries(Q5, (FieldElement.zero_to_precision(Q5, 4),
                                  FieldElement.zero_to_precision(Q5, 4)))
@@ -191,6 +210,13 @@ class TestStrassmann:
                                  el(Q5, 25, 1, 8)))
         with pytest.raises(TailInconclusive):
             strassmann_bound(f, 0)
+
+    def test_tail_bound_must_dominate_strictly(self):
+        # 5 + (v(a_j) >= 0 for j >= 1) on v(x) >= 1: the tail could tie
+        # the constant's exponent 1 at j = 1
+        f = TruncatedSeries(Q5, (el(Q5, 5, 1, 8),), TailProfile(1, Fraction(0), Fraction(0)))
+        with pytest.raises(TailInconclusive, match="does not dominate strictly"):
+            strassmann_bound(f, 1)
 
 
 class TestEnumerateRoots:
@@ -235,7 +261,7 @@ class TestEnumerateRoots:
         f = polynomial(Q3, [0, -1, 0, 1], 12)
         for cert in enumerate_roots(f, 0, target_prec=8):
             assert cert.residual_prec >= 8
-            assert not cert.derivative_magnitude.is_zero
+            assert cert.derivative_valuation is not INFINITY
 
 
 def test_scan_builds_each_derivative_once(monkeypatch):
@@ -261,8 +287,7 @@ def pin(cert):
     """Every field of a certificate as plain data."""
     r = cert.root
     return (r.valuation, r.digits, r.abs_precision, cert.residual_prec,
-            cert.uniqueness_exponent, tuple(b.exponent for b in cert.b_trace),
-            cert.derivative_magnitude.exponent)
+            cert.uniqueness_exponent, cert.b_trace, cert.derivative_valuation)
 
 
 class TestGoldenCertificates:
@@ -305,7 +330,7 @@ class TestPrecisionRefusals:
         for solve in (hensel_solve, fixed_point_solve):
             with pytest.raises(PrecisionExhausted,
                                match="target precision 14 exceeds working "
-                                     "precision 12"):
+                                     "precision 12$"):
                 solve(prob)
 
     def _two_thirds_problem(self, target):
@@ -386,7 +411,7 @@ class TestPrecisionSchedule:
         coeffs = [-222 * 124 * 32, 222 * 124 + 222 * 32 + 124 * 32, -(222 + 124 + 32), 1]
         prob = HenselProblem(polynomial(Q3, coeffs, 20), zero(Q3, 20), zero(Q3, 20), 0, 16)
         cert = hensel_solve(prob)
-        assert [b.exponent for b in cert.b_trace] == [1, 3]
+        assert list(cert.b_trace) == [1, 3]
         assert cert.residual_prec == cert.root.abs_precision == 20
         assert cert.root.reduce_mod(20) == 222
         ref = model.hensel_solve(prob)
@@ -545,6 +570,48 @@ class TestProvenDigits:
                 solve(prob)
         with pytest.raises(PrecisionExhausted):
             enumerate_roots(f, 0, target_prec=6)
+
+
+# (field, coefficients lowest first and the exact roots, as element
+# literals, working precision W, e = v(f'(root))): two roots at distance
+# q^-e, so every target up to e puts both in one residue class
+CLOSE_ROOTS = {
+    "(X - 1)(X - 126) over Q_5": (Q5, ["126", "-127", "1"], ["1", "126"], 12, 3),
+    "(X - 2)(X - 83) over Q_3": (Q3, ["166", "-85", "1"], ["2", "83"], 12, 4),
+    "(X - 1)(X - 1 - T^3) over F_5((T))": (
+        laurent_field(5), ["1 + 1*T^3", "3 + 4*T^3", "1"], ["1", "1 + 1*T^3"], 12, 3),
+}
+
+
+class TestCloseRoots:
+    """Two roots closer than the target are both found: the in-class solve
+    carries each root past the target before it is deflated out, and two
+    certificates are one root only when they agree to every digit both
+    prove."""
+
+    @pytest.mark.parametrize("name", CLOSE_ROOTS)
+    def test_every_target_finds_both_roots(self, name):
+        F, coeffs, exact, W, e = CLOSE_ROOTS[name]
+        f = TruncatedSeries(F, tuple(parse_element(c, F, W) for c in coeffs))
+        exact = [parse_element(r, F, 4 * W) for r in exact]
+        for target in range(1, W - e + 1):
+            certs = enumerate_roots(f, 0, target_prec=target)
+            assert len(certs) == 2, target
+            matched = set()
+            for c in certs:
+                k = c.root.abs_precision
+                assert k >= target
+                matched |= {i for i, r in enumerate(exact) if c.root.agrees_with(r, k)}
+            assert matched == {0, 1}, target
+
+    @pytest.mark.parametrize("target", range(-2, 13))
+    def test_square_roots_of_six_at_any_target(self, target):
+        certs = enumerate_roots(polynomial(Q5, [-6, 0, 1], 12), 0, target_prec=target)
+        assert len(certs) == 2
+        for c in certs:
+            k = c.root.abs_precision
+            assert k >= max(target, 1)
+            assert c.root.reduce_mod(k) in root_residues([-6, 0, 1], 5, k)
 
 
 @pytest.mark.parametrize("p,coeffs,solves", [

@@ -207,14 +207,27 @@ class TestDeflate:
 
 class TestThresholdAndIsometry:
     def test_isometry_certified_q5(self):
-        ok, mag = polynomial(Q5, [0, 0, 1], 8).isometry_criterion(
+        e_fp = polynomial(Q5, [0, 0, 1], 8).isometry_criterion(
             0, el(Q5, 1, 1, 8), 1)
-        assert ok and mag.exponent == 0        # |f'(1)| = |2| = 1
+        assert e_fp == 0                       # |f'(1)| = |2| = 1
 
     def test_isometry_not_certified_q2(self):
-        ok, _ = polynomial(Q2, [0, 0, 1], 8).isometry_criterion(
-            0, el(Q2, 1, 1, 8), 0)
-        assert not ok
+        # X^2 at 1 over Q_2: M2 = 1 and |f'(1)| = 1/2, so the separation
+        # must exceed 1; at 1, (1 + 2)^2 - 1 = 8 has valuation 3, not v(2 * 2) = 2
+        f = polynomial(Q2, [0, 0, 1], 8)
+        assert [f.isometry_criterion(0, el(Q2, 1, 1, 8), sep)
+                for sep in (0, 1, 2)] == [None, None, 1]
+
+    def test_isometry_not_certified_where_the_derivative_vanishes(self):
+        # f'(0) = 0 to every digit: no similarity, and no exception
+        assert polynomial(Q5, [0, 0, 1], 8).isometry_criterion(
+            0, FieldElement.zero_to_precision(Q5, 8), 1) is None
+
+    def test_isometry_checks_the_radius_before_evaluating(self):
+        # exp's series admits only v(x) >= 1 over Q_5; y is known past
+        # what eval certifies, so an eval would refuse with PrecisionExhausted
+        with pytest.raises(DomainError, match="radius exponent 0 inadmissible"):
+            exp_series(Q5, 8).isometry_criterion(0, el(Q5, 5, 1, 30), 1)
 
     def test_isometry_needs_the_derivative_at_full_precision(self):
         f = polynomial(Q5, [0, 1, 1], 4)
@@ -227,12 +240,12 @@ class TestThresholdAndIsometry:
         for _ in range(100):
             y = el(Q5, rng.randrange(1, 5**5), 1, 12)
             sep = rng.randrange(1, 4)
-            ok, mag = f.isometry_criterion(0, y, sep)
-            if not ok:
+            e_fp = f.isometry_criterion(0, y, sep)
+            if e_fp is None:
                 continue
             x = y + el(Q5, rng.randrange(1, 5**3) * 5**sep, 1, 12)
             diff = f.eval(x, 10) - f.eval(y, 10)
-            assert diff.valuation == mag.exponent + (x - y).valuation
+            assert diff.valuation == e_fp + (x - y).valuation
 
 
 class TestOrderBounds:
