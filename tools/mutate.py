@@ -1,6 +1,6 @@
 """Mutation check of the test suite by comparison flips.
 
-    python tools/mutate.py measure rootfind [--timeout 120] [--workdir DIR]
+    python tools/mutate.py measure rootfind [--workdir DIR]
 
 For each comparison in src/dvfield/<module>.py, one at a time, the runner
 flips its operator (< and <=, > and >=, == and !=, is and is not, in and
@@ -10,10 +10,12 @@ passes has survived: no test tells it from the real code.  Each
 survivor is printed as file:line, the flip and the source line; the exit
 status is 1 when any mutant survived.
 
-One pytest process runs at a time, each under a timeout (a mutant that
-hangs counts as killed).  The checkout itself is never written: the
-copy lives in --workdir, a fresh temporary directory by default.  A
-module takes minutes, so this is no part of the tier-1 run.
+One pytest process runs at a time.  The unmutated tests run first and
+are timed; a mutant's run may take `SLOWDOWN` times as long, after
+which it counts as killed (a flipped loop bound can make the tests
+hang).  The checkout itself is never written: the copy lives in
+--workdir, a fresh temporary directory by default.  A module takes
+minutes, so this is no part of the tier-1 run.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
-from typing import List, NamedTuple, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -46,6 +49,8 @@ TESTS = {
     "textio": ["tests/test_cli.py", "tests/test_cli_golden.py"],
     "valuation": ["tests/test_valuation.py", "tests/test_localfield.py"],
 }
+
+SLOWDOWN = 10
 
 FLIP = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
         "is": "is not", "is not": "is", "in": "not in", "not in": "in"}
@@ -96,7 +101,7 @@ def mutants(source: str) -> List[Mutant]:
     return sorted(found)
 
 
-def run_tests(copy: str, tests: List[str], timeout: float) -> Tuple[bool, str]:
+def run_tests(copy: str, tests: List[str], timeout: Optional[float]) -> Tuple[bool, str]:
     """(passed, how) for the module's tests on the copy."""
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"),
                PYTHONDONTWRITEBYTECODE="1")
@@ -109,14 +114,16 @@ def run_tests(copy: str, tests: List[str], timeout: float) -> Tuple[bool, str]:
     return proc.returncode == 0, f"exit {proc.returncode}"
 
 
-def check_module(module: str, copy: str, timeout: float) -> List[Mutant]:
+def check_module(module: str, copy: str) -> List[Mutant]:
     path = os.path.join(copy, "src", "dvfield", f"{module}.py")
     with open(path) as fh:
         source = fh.read()
     tests = TESTS[module]
-    ok, how = run_tests(copy, tests, timeout)
+    start = time.monotonic()
+    ok, how = run_tests(copy, tests, None)
     if not ok:
         sys.exit(f"mutate: {module}'s tests fail on the unmutated code ({how})")
+    timeout = SLOWDOWN * (time.monotonic() - start)
     survivors = []
     all_mutants = mutants(source)
     try:
@@ -142,8 +149,6 @@ def check_module(module: str, copy: str, timeout: float) -> List[Mutant]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("modules", nargs="+", choices=sorted(TESTS))
-    ap.add_argument("--timeout", type=float, default=120.0,
-                    help="seconds one mutant's tests may take (default 120)")
     ap.add_argument("--workdir", help="where to copy the tree (default: a new temp dir)")
     args = ap.parse_args(argv)
     workdir = args.workdir or tempfile.mkdtemp(prefix="dvfield-mutate-")
@@ -156,7 +161,7 @@ def main(argv=None) -> int:
         shutil.copy(os.path.join(ROOT, name), copy)
     try:
         survivors = [m for module in args.modules
-                     for m in check_module(module, copy, args.timeout)]
+                     for m in check_module(module, copy)]
     finally:
         shutil.rmtree(copy, ignore_errors=True)
         if not args.workdir:
