@@ -15,15 +15,16 @@ import sys
 from fractions import Fraction
 from typing import List, Optional
 
-# `dvfield.cli.<name>` still reaches every package name, read from the
-# submodule that binds it at each access.
-from . import _resolve as __getattr__  # noqa: F401
+from . import _resolve
 from .errors import DomainError, ParseError, UltrametricError
-from .localfield import (FieldDescriptor, FieldElement, Qp, invert_one_minus,
-                         laurent_field)
+from .localfield import FieldDescriptor, FieldElement, Qp, laurent_field
 from .textio import (parse_ball, parse_element, parse_rational, parse_series,
                      render_element, render_fraction, render_series)
 from .valuation import factorial_valuation, is_infinite, is_prime, vp
+
+# `dvfield.cli.<name>` still reaches every package name, read from the
+# submodule that binds it at each access.
+__getattr__ = _resolve
 
 # Each command imports the solver and measure modules it calls when it
 # runs, so that a process answering one command compiles only those.
@@ -93,13 +94,6 @@ def _cmd_elem(args) -> int:
     return _emit(args, render_element(out), _element_json(out))
 
 
-def _cmd_inv1m(args) -> int:
-    desc = _descriptor(args)
-    x = parse_element(args.value, desc, args.precision)
-    out = invert_one_minus(x, args.precision)
-    return _emit(args, render_element(out), _element_json(out))
-
-
 def _cmd_hensel(args) -> int:
     from .rootfind import HenselProblem, fixed_point_solve, hensel_solve
     desc = _descriptor(args)
@@ -140,19 +134,11 @@ def _cmd_strassmann(args) -> int:
     return _emit(args, str(report.bound_N), payload)
 
 
-def _cmd_exp(args) -> int:
-    from .special import exp_eval
-    desc = _descriptor(args)
-    x = parse_element(args.value, desc, args.precision)
-    out = exp_eval(x, args.precision)
-    return _emit(args, render_element(out), _element_json(out))
-
-
-def _cmd_log(args) -> int:
-    from .special import log_solve
-    desc = _descriptor(args)
-    z = parse_element(args.value, desc, args.precision)
-    out = log_solve(z, args.precision)
+def _cmd_unary(args) -> int:
+    """`inv1m`, `exp` or `log`: the package function the subcommand
+    names, applied to one element at -N."""
+    x = parse_element(args.value, _descriptor(args), args.precision)
+    out = _resolve(args.function)(x, args.precision)
     return _emit(args, render_element(out), _element_json(out))
 
 
@@ -197,13 +183,12 @@ def _cmd_dim(args) -> int:
         desc = _descriptor(args)
         a = parse_rational(args.snowflake)
         dv = hausdorff_alpha(desc, a)
+        # alpha = 1/a with equal bases, always rational
         exact = dv.rational_value()
-        text = render_fraction(exact) if exact is not None else f"{dv.approx():.12f}"
         payload = {"count_base": dv.count_base, "scale_base": dv.scale_base,
                    "factor": _fraction_json(dv.factor),
-                   "exact": _fraction_json(exact) if exact is not None else None,
-                   "approx": dv.approx()}
-        return _emit(args, text, payload)
+                   "exact": _fraction_json(exact), "approx": dv.approx()}
+        return _emit(args, render_fraction(exact), payload)
     try:
         digits = [int(t) for t in args.digits.split(",") if t.strip() != ""]
     except ValueError:
@@ -290,10 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", nargs="?")
     p.set_defaults(func=_cmd_elem)
 
-    p = sub.add_parser("inv1m", help="(1 - x)^(-1) for v(x) >= 1")
-    common(p)
-    p.add_argument("value")
-    p.set_defaults(func=_cmd_inv1m)
+    for name, function, text in (
+            ("inv1m", "invert_one_minus", "(1 - x)^(-1) for v(x) >= 1"),
+            ("exp", "exp_eval", "p-adic exponential"),
+            ("log", "log_solve", "inverse of the exponential")):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        p.add_argument("value")
+        p.set_defaults(func=_cmd_unary, function=function)
 
     p = sub.add_parser("hensel", help="solve f(x) = z near x0")
     common(p, ball=True, series=True)
@@ -312,16 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, ball=True, series=True)
     p.add_argument("--from-index", type=index, default=0)
     p.set_defaults(func=_cmd_strassmann)
-
-    p = sub.add_parser("exp", help="p-adic exponential")
-    common(p)
-    p.add_argument("value")
-    p.set_defaults(func=_cmd_exp)
-
-    p = sub.add_parser("log", help="inverse of the exponential")
-    common(p)
-    p.add_argument("value")
-    p.set_defaults(func=_cmd_log)
 
     for name, text in (("recenter", "rewrite f around a new center"),
                        ("deflate", "divide out a root: f(x)-f(x0) = (x-x0) g(x)")):

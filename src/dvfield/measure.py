@@ -317,11 +317,11 @@ def _certify_similarity(f: TruncatedSeries, ball: BallSpec
     if e_fp is None:
         return None
     image_j = j + e_fp
-    t = min(f.working_precision, c.abs_precision)
-    if t < image_j:
+    image_center = f.eval(c, image_j)
+    if image_center.abs_precision < image_j:
         raise InsufficientPrecision(
-            f"image radius exponent {image_j} exceeds working precision {t}")
-    image_center = f.eval(c, t).truncate(t)
+            f"image radius exponent {image_j} exceeds working precision "
+            f"{image_center.abs_precision}")
     return BallSpec.make(image_center, image_j), e_fp
 
 

@@ -9,7 +9,6 @@ enumerator used to verify both.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -63,12 +62,33 @@ class StrassmannReport:
 
 
 @dataclass(frozen=True)
+class _Series:
+    """f with its f' and e_M1, e_M2 on the domain ball, once per series."""
+    f: TruncatedSeries
+    fprime: TruncatedSeries
+    e_m1: Valuation
+    e_m2: Valuation
+
+
+def _series(f: TruncatedSeries, fprime: TruncatedSeries, m: int) -> _Series:
+    return _Series(f, fprime, f.sup_exponent(m, 1), f.sup_exponent(m, 2))
+
+
+@dataclass(frozen=True)
 class _ProblemState:
     fprime: TruncatedSeries
     fp0: FieldElement        # f'(x0)
     d0: FieldElement         # z - f(x0)
     prec: int
     e_m2: Valuation
+    e_m1: Valuation
+
+
+def _state(s: _Series, z: FieldElement, fx: FieldElement, fp: FieldElement,
+           prec: int) -> _ProblemState:
+    """The solve's state from f(x0) and f'(x0), both evaluated at prec."""
+    d = z.truncate(min(z.abs_precision, fx.abs_precision)) - fx
+    return _ProblemState(s.fprime, fp, d, prec, s.e_m2, s.e_m1)
 
 
 def _problem_state(problem: HenselProblem) -> _ProblemState:
@@ -82,8 +102,7 @@ def _problem_state(problem: HenselProblem) -> _ProblemState:
         raise DerivativeIndistinguishableFromZero(
             "f'(x0) indistinguishable from zero at working precision")
     fx = _eval_at_least(f, x0, prec, 1)
-    d = z.truncate(min(z.abs_precision, fx.abs_precision)) - fx
-    return _ProblemState(fprime, fp, d, prec, f.sup_exponent(problem.m, 2))
+    return _state(_series(f, fprime, problem.m), z, fx, fp, prec)
 
 
 def _eval_at_least(f: TruncatedSeries, x: FieldElement, prec: int,
@@ -117,21 +136,22 @@ def _require_target(problem: HenselProblem, state: _ProblemState) -> None:
             f"cannot certify the value even modulo q^{goal}")
 
 
-def _hypotheses(problem: HenselProblem, state: _ProblemState) -> HypothesisReport:
+def _hypotheses(problem: HenselProblem, state: _ProblemState,
+                r: int) -> HypothesisReport:
+    """The hypotheses at x0, h_close on the ball of radius q^(-r) about it:
+    the domain ball (r = m) for the solvers, a class (r = level >= m)."""
     e_fp = state.fp0.valuation
     e_d = state.d0.valuation_lower_bound
-    m = problem.m
-    # M1' = max_{j>=1} |a_j| q^(-m(j-2)), one radius factor looser than M1
-    e_m1p = problem.f.sup_exponent(m, 1) - m
     return HypothesisReport(
-        h_close=e_d >= e_fp + m,
+        h_close=e_d >= e_fp + r,
         h_quadratic=state.e_m2 + e_d > 2 * e_fp,
-        h_single=e_m1p + e_d > 2 * e_fp,
+        # M1' = max_{j>=1} |a_j| q^(-m(j-2)), one radius factor looser than M1
+        h_single=state.e_m1 - problem.m + e_d > 2 * e_fp,
     )
 
 
 def check_hypotheses(problem: HenselProblem) -> HypothesisReport:
-    return _hypotheses(problem, _problem_state(problem))
+    return _hypotheses(problem, _problem_state(problem), problem.m)
 
 
 def _solve(problem: HenselProblem, state: _ProblemState,
@@ -231,7 +251,7 @@ def hensel_solve(problem: HenselProblem) -> RootCertificate:
     b trace.  One pass from x0, on the precision schedule whatever
     v(f'(x0)) is."""
     state = _problem_state(problem)
-    report = _hypotheses(problem, state)
+    report = _hypotheses(problem, state, problem.m)
     if not report.sufficient:
         raise HypothesesFail(
             f"h_close={report.h_close} h_quadratic={report.h_quadratic} "
@@ -246,7 +266,7 @@ def fixed_point_solve(problem: HenselProblem) -> RootCertificate:
     where t = |a|^(-1) |z - f(x0)|."""
     state = _problem_state(problem)
     _require_target(problem, state)
-    if not _hypotheses(problem, state).h_quadratic:
+    if not _hypotheses(problem, state, problem.m).h_quadratic:
         raise ContractionFails(
             "t * M2 >= |f'(x0)|: the auxiliary map is not a contraction")
     return _solve(problem, state, newton=False)
@@ -302,11 +322,11 @@ def enumerate_roots(f: TruncatedSeries, m: int, scan_depth: int = 4,
     f.require_radius(m)
     if target_prec is None:
         target_prec = f.working_precision
-    report = strassmann_bound(f, m)
     found: List[Tuple[TruncatedSeries, RootCertificate]] = []
     zero = FieldElement.zero_to_precision(f.descriptor, f.working_precision)
-    if report.bound_N > 0:
-        _scan_class(_Scanned(f, m), m, zero, m, m + scan_depth, target_prec, found)
+    if strassmann_bound(f, m).bound_N > 0:
+        _scan_class(_series(f, f.derivative(), m), m, zero, m, m + scan_depth,
+                    target_prec, found)
 
     certs: List[RootCertificate] = []
     for g, cert in found:
@@ -324,35 +344,15 @@ def enumerate_roots(f: TruncatedSeries, m: int, scan_depth: int = 4,
     return certs
 
 
-class _Scanned:
-    """A series under the residue scan.  f changes only on deflation, so
-    what the class visits read of it is computed once per series, when a
-    visit first needs it."""
-
-    def __init__(self, f: TruncatedSeries, m: int):
-        self.f = f
-        self.m = m
-
-    @functools.cached_property
-    def fprime(self) -> TruncatedSeries:
-        return self.f.derivative()
-
-    @functools.cached_property
-    def e_m1(self) -> Valuation:
-        return self.f.sup_exponent(self.m, 1)
-
-    @functools.cached_property
-    def e_m2(self) -> Valuation:
-        return self.f.sup_exponent(self.m, 2)
-
-
-def _scan_class(s: _Scanned, m: int, center: FieldElement, level: int,
+def _scan_class(s: _Series, m: int, center: FieldElement, level: int,
                 max_level: int, target_prec: int,
                 out: List[Tuple[TruncatedSeries, RootCertificate]]) -> None:
     """Depth-first scan of the class {x = center mod q^level, v(x) >= m},
-    collecting each root's certificate with the series it was solved on."""
+    the closed ball of radius q^(-level) about center, collecting each
+    root's certificate with the series it was solved on.  Where the
+    hypotheses hold on the class (`_hypotheses` at r = level), Newton
+    starts from the f(center) and f'(center) the visit evaluated."""
     f = s.f
-    q = f.descriptor.q
     prec = min(f.working_precision, center.abs_precision)
     w = _eval_at_least(f, center, prec, 1)
     # any root x in the class has |f(center)| = |f(center) - f(x)| <=
@@ -361,31 +361,31 @@ def _scan_class(s: _Scanned, m: int, center: FieldElement, level: int,
         return
     fp = _eval_at_least(s.fprime, center, prec, 1)
     if not fp.is_zero_to_precision:
-        e_fp = fp.valuation
-        e_d = w.valuation_lower_bound
-        close_in_class = e_d >= e_fp + (level - m) + m
-        quadratic = s.e_m2 + e_d > 2 * e_fp
-        if close_in_class and quadratic:
-            zero = FieldElement.zero_to_precision(f.descriptor,
-                                                  f.working_precision)
-            # to every digit f(center) carries: the deflation below needs
-            # the root past the target, or g0 keeps a trace of it
-            t = max(target_prec, w.abs_precision - max(e_fp, 0))
-            cert = hensel_solve(HenselProblem(f, center, zero, m, t))
+        zero = FieldElement.zero_to_precision(f.descriptor, f.working_precision)
+        # to every digit f(center) carries: the deflation below needs
+        # the root past the target, or g0 keeps a trace of it
+        t = max(target_prec, w.abs_precision - max(fp.valuation, 0))
+        problem = HenselProblem(f, center, zero, m, t)
+        state = _state(s, zero, w, fp, prec)
+        report = _hypotheses(problem, state, level)
+        if report.h_close and report.h_quadratic:
+            _require_target(problem, state)
+            cert = _solve(problem, state, newton=True)
             out.append((f, cert))
-            # the root is unique in this class; strip it and rescan for others
+            # a class can hold two roots or more: strip this one and rescan
             g0 = f.deflate(_as_exact(cert.root, f.working_precision), m)
             try:
                 strassmann_bound(g0, m)
             except AllCoefficientsIndistinguishableFromZero:
                 return
-            _scan_class(_Scanned(g0, m), m, center, level, max_level, target_prec, out)
+            _scan_class(_series(g0, g0.derivative(), m), m, center, level,
+                        max_level, target_prec, out)
             return
     if level >= max_level:
         raise UndecidedMultipleRoot(
             f"class at depth {level - m} has residual valuation >= "
             f"{w.valuation_lower_bound} with no usable derivative")
-    for d in range(q):
+    for d in range(f.descriptor.q):
         # d * uniformizer^level, exact, at the center's precision
         bump = FieldElement.from_rational(
             f.descriptor, d, 1, center.abs_precision - level).shift(level)

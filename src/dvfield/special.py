@@ -83,13 +83,13 @@ def _exp_mod(K, x: int, k: int) -> int:
         chunk = x % K.power(hi)
         x -= chunk
         if chunk:
-            # j (lo (p-1) - 1) + 1 >= k (p-1) for every j >= J
+            # j (lo (p-1) - 1) + 1 >= k (p-1) for every j >= J; lo < k,
+            # since p^lo divides chunk < p^k, so J >= 2
             J = -(-(k * (p - 1) - 1) // (lo * (p - 1) - 1))
-            if J > 1:
-                pt = p ** factorial_valuation(p, J - 1)
-                _, Q, T = _split(chunk, 1, J, pk * pt)
-                num = num * ((Q + T) // pt) % pk
-                den = den * (Q // pt) % pk
+            pt = p ** factorial_valuation(p, J - 1)
+            _, Q, T = _split(chunk, 1, J, pk * pt)
+            num = num * ((Q + T) // pt) % pk
+            den = den * (Q // pt) % pk
         lo = hi
     return num * K.inv(den, k) % pk
 

@@ -65,7 +65,7 @@ def hensel_solve(problem: HenselProblem) -> RootCertificate:
     """Iterate x <- x + f'(x)^(-1) (z - f(x)) until the residual vanishes
     modulo q^target_prec; quadratic convergence certified by the b trace."""
     state = _problem_state(problem)
-    report = _hypotheses(problem, state)
+    report = _hypotheses(problem, state, problem.m)
     if not report.sufficient:
         raise HypothesesFail(
             f"h_close={report.h_close} h_quadratic={report.h_quadratic} "

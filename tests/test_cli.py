@@ -413,6 +413,13 @@ def test_readme_lists_examples():
      "UndecidedMultipleRoot: class at depth 4 has"),
     # both square roots of 6, though they agree modulo 5^0
     (["roots", "-p", "5", "-N", "0", "--f", "X^2-6", "--json"], 0, '"count": 2'),
+    # x/5 maps B(0, 5^-2) onto B(0, 5^-1), known to its one digit at -N 3
+    (["measure", "-p", "5", "-N", "3", "--f", "1/5*X", "--ball", "0@2", "image", "0@2"],
+     0, "1/5"),
+    (["factval", "-p", "2", "0"], 0, "0"),
+    # B = 1, the least --beta-log, is beta = 0: the content is the ball count
+    (["dim", "-p", "3", "digits", "--digits", "0,2", "--depth", "5", "--beta-log", "1"],
+     0, "(vs 1: +1)"),
 ])
 def test_refusals_and_edge_answers_do_not_raise(capsys, argv, code, printed):
     assert run(argv) == code

@@ -395,6 +395,14 @@ class TestImage:
                            match="image radius exponent 4 exceeds working precision 3"):
             admissible_ball(f, ball(Q5, 0, 2, prec=12))
 
+    def test_image_center_is_asked_only_to_the_image_radius(self):
+        # x -> x/5 maps B(0, 5^-2) onto B(0, 5^-1): f(center) is needed
+        # modulo 5^1, though x/5 at a center known modulo 5^3 gives 5^2
+        f = polynomial(Q5, [0, Fraction(1, 5)], 3)
+        b = ball(Q5, 0, 2)
+        assert admissible_ball(f, b) == ball(Q5, 0, 1)
+        assert image_measure(f, b, [b]) == Fraction(1, 5)
+
     def test_center_finer_than_the_series_precision(self):
         # the center is lifted to precision 7, f' is known only modulo 5^4
         f = polynomial(Q5, [0, 1, 1], 4)

@@ -265,12 +265,11 @@ class TestEnumerateRoots:
 
 
 def test_scan_builds_each_derivative_once(monkeypatch):
-    """The residue scan builds f' once per series it scans, and only for a
-    series with a class it cannot rule out: X^3 - X and its first
-    deflation x^2 - 1 here, while x + 1 and x - 1 are ruled out at their
-    first class.  Each hensel_solve builds one more: 0, found on X^3 - X,
-    costs one solve, and 1 and -1, found on x^2 - 1, cost one there and
-    one more on X^3 - X: 7 in all."""
+    """The residue scan builds f' once per series it enters: X^3 - X, its
+    first deflation x^2 - 1, and the linear deflations x + 1 and x - 1,
+    whose first class is ruled out (a linear f' is one `mul_integer`).  A
+    class solve starts from the scan's f'; 1 and -1, found on x^2 - 1, are
+    solved once more on X^3 - X, which builds one each: 6 in all."""
     calls = []
     derivative = TruncatedSeries.derivative
 
@@ -280,7 +279,7 @@ def test_scan_builds_each_derivative_once(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "derivative", counted)
     certs = enumerate_roots(polynomial(Q3, [0, -1, 0, 1], 12), 0)
     assert len(certs) == 3
-    assert len(calls) == 7
+    assert len(calls) == 6
 
 
 def pin(cert):
@@ -623,12 +622,32 @@ def test_enumeration_solves_each_root_once_on_f(monkeypatch, p, coeffs, solves):
     series is solved once more on f, since its certificate states the
     deflated series' derivative."""
     calls = []
-    solve = rootfind.hensel_solve
+    solve = rootfind._solve
 
-    def counted(problem):
+    def counted(problem, state, newton):
         calls.append(problem)
-        return solve(problem)
-    monkeypatch.setattr(rootfind, "hensel_solve", counted)
+        return solve(problem, state, newton)
+    monkeypatch.setattr(rootfind, "_solve", counted)
     certs = enumerate_roots(polynomial(Qp(p), coeffs, 12), 0)
     assert len(certs) == 3
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize("p,coeffs,evals", [
+    (7, [-1, 0, 0, 1], 32),
+    (3, [0, -1, 0, 1], 27),
+])
+def test_class_solve_starts_from_the_scan_evaluations(monkeypatch, p, coeffs, evals):
+    """A class solve does not evaluate f and f' at the class center again:
+    Newton's first step reads the values the class visit computed, one
+    pair fewer per root found in the scan than a solve from scratch."""
+    calls = []
+    evaluate = TruncatedSeries.eval
+
+    def counted(self, x, target_prec):
+        calls.append(target_prec)
+        return evaluate(self, x, target_prec)
+    monkeypatch.setattr(TruncatedSeries, "eval", counted)
+    certs = enumerate_roots(polynomial(Qp(p), coeffs, 12), 0)
+    assert len(certs) == 3
+    assert len(calls) == evals
