@@ -266,10 +266,14 @@ class ContentEstimate:
 
 @dataclass(frozen=True)
 class DigitSetReport:
-    ball_count: int
     content_estimate: ContentEstimate
     dimension: DimensionValue
     digit_set: Tuple[int, ...]
+
+    @functools.cached_property
+    def ball_count(self) -> int:
+        """|digit_set|^depth, counted on first read: it has ~depth digits."""
+        return len(self.digit_set) ** self.content_estimate.depth
 
     @functools.cached_property
     def cover_codes(self) -> Tuple[int, ...]:
@@ -288,8 +292,8 @@ class DigitSetReport:
 def digit_set_analysis(p: int, digit_set: Sequence[int], depth: int,
                        beta) -> DigitSetReport:
     """The set of unit-ball elements all of whose digits lie in digit_set:
-    its exact minimal cover at radius p^(-depth) (counted in closed form,
-    its codes listed only when read), the Hausdorff content estimate at
+    its exact minimal cover at radius p^(-depth) (counted, and its codes
+    listed, only when read), the Hausdorff content estimate at
     exponent beta, and the exact box dimension."""
     digits = tuple(sorted(set(digit_set)))
     if not digits:
@@ -300,53 +304,48 @@ def digit_set_analysis(p: int, digit_set: Sequence[int], depth: int,
         raise DomainError("depth must be at least 1")
     num, den, base = _beta_parts(p, beta)
     estimate = ContentEstimate(len(digits), p, depth, num, den, base)
-    return DigitSetReport(
-        ball_count=len(digits) ** depth,
-        content_estimate=estimate,
-        dimension=DimensionValue(len(digits), p),
-        digit_set=digits,
-    )
+    return DigitSetReport(estimate, DimensionValue(len(digits), p), digits)
 
 
-def _certify_similarity(f: TruncatedSeries, ball: BallSpec
-                        ) -> Optional[Tuple[BallSpec, int]]:
+def _similarity(f: TruncatedSeries, ball: BallSpec
+                ) -> Optional[Tuple[FieldElement, int]]:
+    """(c, e): the center lifted to an exact point, and e = v(f'(c)) when
+    f scales every distance on the ball by q^(-e); None otherwise."""
     j = ball.radius_exponent
+    _require_precision(ball.center, j)
     c = as_exact(ball.center, max(f.working_precision, j + 1))
     # the ball lies in the one about 0 of radius exponent min(v(c), j)
-    e_fp = f.isometry_criterion(min(c.valuation_lower_bound, j), c, j)
-    if e_fp is None:
-        return None
-    image_j = j + e_fp
-    image_center = f.eval(c, image_j)
-    if image_center.abs_precision < image_j:
-        raise InsufficientPrecision(
-            f"image radius exponent {image_j} exceeds working precision "
-            f"{image_center.abs_precision}")
-    return BallSpec.make(image_center, image_j), e_fp
+    e = f.isometry_criterion(min(c.valuation_lower_bound, j), c, j)
+    return None if e is None else (c, e)
 
 
 def admissible_ball(f: TruncatedSeries, ball: BallSpec) -> Optional[BallSpec]:
     """The image ball when f acts on the given ball as an exact
     similarity (constant |f'|, exact difference scaling, image onto);
     None when the sufficient criterion t * M2 < |f'| fails."""
-    certified = _certify_similarity(f, ball)
-    if certified is None:
+    similar = _similarity(f, ball)
+    if similar is None:
         return None
-    return certified[0]
+    c, e = similar
+    image_j = ball.radius_exponent + e
+    image_center = f.eval(c, image_j)
+    if image_center.abs_precision < image_j:
+        raise InsufficientPrecision(
+            f"image radius exponent {image_j} exceeds working precision "
+            f"{image_center.abs_precision}")
+    return BallSpec.make(image_center, image_j)
 
 
 def image_measure(f: TruncatedSeries, ball: BallSpec,
                   subfamily: Iterable[BallSpec]) -> RationalMeasure:
-    """H(f(union of subfamily)) = |f'| * H(union) on an admissible ball."""
-    certified = _certify_similarity(f, ball)
-    if certified is None:
+    """H(f(union of subfamily)) = q^(-v(f')) * H(union) on an admissible ball."""
+    similar = _similarity(f, ball)
+    if similar is None:
         raise DomainError("ball not certified admissible for f")
-    _, e_fp = certified
     subfamily = tuple(subfamily)
     # a member lies inside the ball when it is no larger and its center
     # agrees with the ball's canonical center modulo q^j
     j, K = ball.radius_exponent, ball.descriptor.arith
-    _require_precision(ball.center, j)
     center = _prefix(K, ball.center.valuation, ball.center.unit, j)
     for b in subfamily:
         if b.descriptor != ball.descriptor:
@@ -355,5 +354,4 @@ def image_measure(f: TruncatedSeries, ball: BallSpec,
         c = b.center
         if b.radius_exponent < j or _prefix(K, c.valuation, c.unit, j) != center:
             raise DomainError("subfamily member not contained in the ball")
-    q = ball.descriptor.q
-    return Fraction(q) ** (-e_fp) * haar_union_measure(subfamily)
+    return Fraction(ball.descriptor.q) ** (-similar[1]) * haar_union_measure(subfamily)

@@ -19,11 +19,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import _resolve
 from .errors import DomainError
 from .localfield import FieldDescriptor, FieldElement, FieldKind
-from .rootfind import HenselProblem, hensel_solve
 from .series import TailProfile, TruncatedSeries
 from .valuation import INFINITY, factorial_valuation
+
+# `log_solve` imports the solver when it first runs, so `exp` never
+# compiles it; `dvfield.special.<name>` still reaches every package name.
+__getattr__ = _resolve
 
 # terms summed by one loop at the leaves of the binary splitting
 _LEAF_TERMS = 32
@@ -167,6 +171,7 @@ def log_solve(z: FieldElement, target_prec: int) -> FieldElement:
     """The unique x in the convergence domain with E(x) = z modulo
     q^target_prec, found by solving E(x) = z from x0 = 0 where E(0) = 1
     and E'(0) = 1."""
+    from .rootfind import HenselProblem, hensel_solve
     _require_padic(z.descriptor)
     p = z.descriptor.q
     one = FieldElement.one(z.descriptor, z.abs_precision)

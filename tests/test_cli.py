@@ -420,11 +420,41 @@ def test_readme_lists_examples():
     # B = 1, the least --beta-log, is beta = 0: the content is the ball count
     (["dim", "-p", "3", "digits", "--digits", "0,2", "--depth", "5", "--beta-log", "1"],
      0, "(vs 1: +1)"),
+    (["elem", "-p", "5", "5*5 + O(5^3)"], 1, "digit 5 out of range for base 5"),
+    (["elem", "-p", "5", "1 + 2*5^3 + O(5^3)"], 1,
+     "digit exponent 3 at or beyond precision 3"),
+    # f'(5) = 3 is known modulo 5^3 only, below the center's 5^4: its
+    # valuation is all the measure reads
+    (["measure", "-p", "5", "-N", "4", "--f", "X + 1/5*X^2", "--ball", "5@2",
+      "image", "5@2"], 0, "1/25"),
+    # the image ball would need f(0) modulo 5^5; its measure needs v(f') = 0
+    (["measure", "-p", "5", "-N", "3", "--f", "X", "--ball", "0@5", "image", "0@5"],
+     0, "1/3125"),
 ])
 def test_refusals_and_edge_answers_do_not_raise(capsys, argv, code, printed):
     assert run(argv) == code
     out, err = out_of(capsys)
     assert printed in (out if code == 0 else err)
+
+
+@pytest.mark.parametrize("argv, printed", [
+    (["deflate", "-p", "7", "-N", "8", "--f", "X^2 - 4", "--x0", "2"],
+     "(2 + O(7^8)) + (1 + O(7^8))*X"),
+    (["recenter", "-p", "5", "-N", "4", "--f", "X^3 - 2*X + 7", "--x0", "3"],
+     "(3 + 1*5^2 + O(5^4)) + (5^2 * 1 + O(5^2))*X + (4 + 1*5 + O(5^4))*X^2"
+     " + (1 + O(5^4))*X^3"),
+])
+def test_series_text(capsys, argv, printed):
+    assert run(argv) == 0
+    assert out_of(capsys)[0] == printed
+
+
+def test_series_text_ends_in_its_tail_marker(capsys):
+    assert run(["deflate", "-p", "3", "-N", "4", "--f", "tail:exp",
+                "--x0", "3^1 * 2 + O(3^4)", "--m", "1"]) == 0
+    out = out_of(capsys)[0]
+    assert out.startswith("(1 + 2*3^2 + 2*3^3 + 2*3^4 + O(3^5)) + (")
+    assert out.endswith(")*X^17 + tail:...")
 
 
 def test_ball_count_digit_limit_is_exact(capsys):

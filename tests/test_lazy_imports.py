@@ -132,6 +132,7 @@ class TestImportBoundary:
         assert out == "1 + 1*3 + 1*3^2 + 2*3^3 + O(3^4)\n"
         assert "special" in loaded
         assert "measure" not in loaded
+        assert "rootfind" not in loaded
 
 
 def test_runtime_imports_only_the_standard_library():

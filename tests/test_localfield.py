@@ -150,6 +150,12 @@ class TestGeometricInverse:
         got = invert_one_minus(x, 8)
         assert got.agrees_with(el(Q7, 1, 1 - 21, 8), 8)
 
+    def test_invert_one_minus_to_no_digits_is_zero_to_that_precision(self):
+        # modulo 7^0 or coarser nothing is known, so there is nothing to invert
+        for prec in (0, -2):
+            got = invert_one_minus(el(Q7, 7, 1, 8), prec)
+            assert got.is_zero_to_precision and got.abs_precision == prec
+
     def test_invert_one_minus_domain(self):
         with pytest.raises(DomainError):
             invert_one_minus(el(Q7, 3, 1, 8), 8)

@@ -8,8 +8,7 @@ from fractions import Fraction
 import pytest
 
 import disjoint_model
-from dvfield.errors import (DomainError, InsufficientPrecision,
-                            PrecisionExhausted)
+from dvfield.errors import DomainError, InsufficientPrecision
 from dvfield.localfield import FieldElement, Qp, laurent_field
 from dvfield import measure
 from dvfield.measure import (BallRelation, BallSpec, ContentEstimate,
@@ -17,7 +16,7 @@ from dvfield.measure import (BallRelation, BallSpec, ContentEstimate,
                              digit_set_analysis, haar_union_measure,
                              hausdorff_alpha, image_measure,
                              maximal_disjointify, scale_family)
-from dvfield.series import polynomial
+from dvfield.series import TruncatedSeries, polynomial
 
 Q2 = Qp(2)
 Q3 = Qp(3)
@@ -325,6 +324,16 @@ class TestDigitSets:
         assert report.content_estimate.compare_to_one() == -1
         assert peak < 64 * 1024
 
+    def test_huge_depth_is_counted_only_when_read(self):
+        # 3^(10^12) has about 4.8 * 10^11 digits; content and dimension
+        # never need it
+        start = time.perf_counter()
+        report = digit_set_analysis(3, [0, 1, 2], 10**12, 1)
+        assert report.content_estimate.compare_to_one() == 0
+        assert report.dimension.rational_value() == 1
+        assert time.perf_counter() - start < 1
+        assert "ball_count" not in vars(report)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             digit_set_analysis(3, [], 3, 1)
@@ -404,10 +413,48 @@ class TestImage:
         assert image_measure(f, b, [b]) == Fraction(1, 5)
 
     def test_center_finer_than_the_series_precision(self):
-        # the center is lifted to precision 7, f' is known only modulo 5^4
+        # the center is lifted to precision 7, f' is known only modulo 5^4:
+        # enough for v(f'(1)) = 0, not for the image center modulo 5^6
         f = polynomial(Q5, [0, 1, 1], 4)
-        with pytest.raises(PrecisionExhausted):
+        with pytest.raises(InsufficientPrecision,
+                           match="image radius exponent 6 exceeds working precision 4"):
             admissible_ball(f, ball(Q5, 1, 6))
+
+    def test_derivative_is_read_only_to_its_valuation(self):
+        # f'(5) = 1 + 2/5 * 5 = 3 is known modulo 5^3 only, below the
+        # center's 5^4; x + x^2/5 maps B(5, 5^-2) onto B(10, 5^-2)
+        f = polynomial(Q5, [0, 1, Fraction(1, 5)], 4)
+        b = ball(Q5, 5, 2)
+        assert admissible_ball(f, b) == ball(Q5, 10, 2)
+        assert image_measure(f, b, [b]) == Fraction(1, 25)
+
+    def test_image_measure_needs_no_image_center(self):
+        # the identity at working precision 3 on B(0, 5^-5): the measure
+        # reads v(f') = 0 alone, the image ball needs f(0) modulo 5^5
+        f = polynomial(Q5, [0, 1], 3)
+        b = ball(Q5, 0, 5)
+        assert image_measure(f, b, [b]) == Fraction(1, 3125)
+        with pytest.raises(InsufficientPrecision,
+                           match="image radius exponent 5 exceeds working precision 3"):
+            admissible_ball(f, b)
+
+    def test_center_known_below_its_radius_is_refused(self):
+        f = polynomial(Q5, [0, 1], 12)
+        b = BallSpec(el(Q5, 1, 1, prec=2), 3)
+        for call in (lambda: admissible_ball(f, b), lambda: image_measure(f, b, [])):
+            with pytest.raises(InsufficientPrecision,
+                               match="center precision 2 below radius exponent 3"):
+                call()
+
+    def test_image_measure_evaluates_only_the_derivative(self, monkeypatch):
+        calls = []
+        eval_ = TruncatedSeries.eval
+        monkeypatch.setattr(TruncatedSeries, "eval",
+                            lambda f, x, n: calls.append(n) or eval_(f, x, n))
+        f = polynomial(Q5, [0, 5, 25], 12)
+        b = ball(Q5, 0, 0, prec=12)
+        assert image_measure(f, b, [b]) == Fraction(1, 5)
+        assert len(calls) == 1
 
     def test_subfamily_must_be_inside(self):
         f = polynomial(Q5, [0, 1], 12)

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dvfield.errors import (DomainError, InsufficientPrecision,
-                            PrecisionExhausted)
+from dvfield.errors import DomainError, InsufficientPrecision
 from dvfield.localfield import FieldElement, Qp, invert_one_minus
 from dvfield.series import TailProfile, TruncatedSeries, polynomial
 from dvfield.special import exp_series
@@ -229,10 +228,18 @@ class TestThresholdAndIsometry:
         with pytest.raises(DomainError, match="radius exponent 0 inadmissible"):
             exp_series(Q5, 8).isometry_criterion(0, el(Q5, 5, 1, 30), 1)
 
-    def test_isometry_needs_the_derivative_at_full_precision(self):
+    def test_isometry_reads_the_derivative_to_the_certified_precision(self):
+        # f'(1) = 3 is known only modulo 5^4, y to 5^10; its valuation 0
+        # is all the criterion reads: f(x) - f(1) = (x - 1)(x + 2), and
+        # x + 2 is a unit on B(1, 5^-2)
         f = polynomial(Q5, [0, 1, 1], 4)
-        with pytest.raises(PrecisionExhausted):
-            f.isometry_criterion(0, el(Q5, 1, 1, 10), 2)
+        assert f.isometry_criterion(0, el(Q5, 1, 1, 10), 2) == 0
+
+    def test_isometry_not_certified_where_the_derivative_is_zero_to_its_precision(self):
+        # f'(y) = 5^4 (1 + 5 y) at y = 1 is zero modulo 5^4, the precision
+        # eval certifies, though y is known to 5^10
+        f = polynomial(Q5, [0, 625, 1250], 4)
+        assert f.isometry_criterion(0, el(Q5, 1, 1, 10), 2) is None
 
     def test_certified_pairs_scale_exactly(self):
         f = polynomial(Q5, [0, 0, 1], 12)

@@ -40,7 +40,7 @@ TESTS = {
               "tests/test_laurent_inverse.py"],
     "cli": ["tests/test_cli.py", "tests/test_cli_golden.py"],
     "localfield": ["tests/test_localfield.py", "tests/test_kernels_fuzz.py",
-                   "tests/test_laurent_inverse.py"],
+                   "tests/test_laurent_inverse.py", "tests/test_cli.py"],
     "measure": ["tests/test_measure.py", "tests/test_disjoint_fuzz.py"],
     "rootfind": ["tests/test_rootfind.py", "tests/test_solve_fuzz.py",
                  "tests/test_roots_mixed.py"],
