@@ -236,7 +236,7 @@ class TestThresholdAndIsometry:
         assert f.isometry_criterion(0, el(Q5, 1, 1, 10), 2) == 0
 
     def test_isometry_not_certified_where_the_derivative_is_zero_to_its_precision(self):
-        # f'(y) = 5^4 (1 + 5 y) at y = 1 is zero modulo 5^4, the precision
+        # f'(y) = 5^4 (1 + 4y) at y = 1 is zero modulo 5^4, the precision
         # eval certifies, though y is known to 5^10
         f = polynomial(Q5, [0, 625, 1250], 4)
         assert f.isometry_criterion(0, el(Q5, 1, 1, 10), 2) is None
