@@ -101,7 +101,8 @@ def _problem_state(problem: HenselProblem) -> _ProblemState:
     if fp.is_zero_to_precision:
         raise DerivativeIndistinguishableFromZero(
             "f'(x0) indistinguishable from zero at working precision")
-    fx = _eval_at_least(f, x0, prec, 1)
+    # a series that is its own derivative (E' = E) is evaluated once
+    fx = fp if fprime is f else _eval_at_least(f, x0, prec, 1)
     return _state(_series(f, fprime, problem.m), z, fx, fp, prec)
 
 

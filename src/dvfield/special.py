@@ -12,6 +12,12 @@ directly.  `exp_series` is E as a `TruncatedSeries` for the solver and
 the bounds: its `eval` is the same kernel, its derivative is itself,
 and it stores only the few 1/j! that the suprema and Strassmann bounds
 read.
+
+The logarithm is summed in closed form the same way (`_log_mod`), and
+`log_solve` certifies it: the Hensel solver, started at that value,
+proves it as the root of E(x) = z with one evaluation of E.  log is an
+isometry on the domain too, so log z is known to exactly the digits of
+z, and a wrong closed form could cost Newton steps but never a digit.
 """
 
 from __future__ import annotations
@@ -98,6 +104,71 @@ def _exp_mod(K, x: int, k: int) -> int:
     return num * K.inv(den, k) % pk
 
 
+def _split_log(e: int, a: int, b: int, M: int) -> tuple[int, int, int]:
+    """(P, B, T) modulo M for the terms j in [a, b), 1 <= a < b: P =
+    e^(b-a), B = a (a+1) ... (b-1) and T with T / B = sum_{a <= j < b}
+    e^(j-a+1) / j.  Halves merge as P = P1 P2, B = B1 B2, T = T1 B2 +
+    B1 P1 T2.  Every term is positive, so every product is nonnegative and
+    its reduction modulo M never widens it (a negative one would become
+    as wide as M); the leaves, narrower than M, are not reduced."""
+    if b - a <= _LEAF_TERMS:
+        # from the top: [j, b) is e/j + e [j+1, b)
+        B, T = 1, 0
+        for j in range(b - 1, a - 1, -1):
+            T = e * (B + j * T)
+            B *= j
+        return e ** (b - a), B, T
+    mid = (a + b) // 2
+    P1, B1, T1 = _split_log(e, a, mid, M)
+    P2, B2, T2 = _split_log(e, mid, b, M)
+    return P1 * P2 % M, B1 * B2 % M, (T1 * B2 + B1 * P1 * T2) % M
+
+
+def _log_terms(K, lo: int, k: int) -> int:
+    """The first J with j lo - v_p(j) >= k for every j >= J, 1 <= lo < k:
+    from J on, the terms e^j / j with v(e) >= lo vanish modulo p^k."""
+    c = -(-k // lo)
+    # from j0 = c + bitlen(c) // lo + 1 on, (j - c) lo >= v_p(j), so j lo
+    # - v_p(j) >= c lo >= k: v_p(j) <= log2(j) is at most bitlen(c) <
+    # (j0 - c) lo below 2c, and at most j/2 <= j - c from 2c >= 4 on
+    j = c + c.bit_length() // lo + 1
+    while j * lo - K.strip(j)[0] >= k:
+        j -= 1
+    return j + 1
+
+
+def _log_mod(K, z: int, k: int) -> int:
+    """log z modulo p^k, k >= 1, for an integer z = 1 modulo p^e_min(p).
+
+    Bit-burst, as in `_exp_mod`: at the level of lo, with r = 1 modulo
+    p^lo, the chunk e = (r - 1) modulo p^hi, hi = min(2 lo, k), has
+    valuation >= lo, and r (1 - e) = 1 - (r - 1)^2 modulo p^hi, so the
+    step r <- r (1 - e) needs no inverse.  Once r = 1 modulo p^k, log r
+    vanishes there (log is an isometry on the domain), so log z = sum
+    over the chunks of -log(1 - e) = sum_{j >= 1} e^j / j, every term
+    positive.  The chunk is summed over j < J (`_log_terms`) and, as in
+    `_exp_mod`, modulo p^(k+t), B = (J-1)! = p^t B'; the sums share one
+    inversion at the end."""
+    p = K.q
+    pk = K.power(k)
+    r = z % pk
+    num, den = 0, 1
+    lo = e_min(p)
+    while lo < k:
+        hi = min(2 * lo, k)
+        e = (r - 1) % K.power(hi)
+        if e:
+            J = _log_terms(K, lo, k)
+            pt = p ** factorial_valuation(p, J - 1)
+            _, B, T = _split_log(e, 1, J, pk * pt)
+            B //= pt
+            num = (num * B + T // pt * den) % pk
+            den = den * B % pk
+            r = r * (1 - e) % pk
+        lo = hi
+    return num * K.inv(den, k) % pk
+
+
 def _exp(x: FieldElement, target_prec: int) -> FieldElement:
     """E(x) modulo q^k, k = min(target_prec, x.abs_precision), for x in
     the domain; zero to precision k when k <= 0."""
@@ -169,8 +240,9 @@ def exp_eval(x: FieldElement, target_prec: int) -> FieldElement:
 
 def log_solve(z: FieldElement, target_prec: int) -> FieldElement:
     """The unique x in the convergence domain with E(x) = z modulo
-    q^target_prec, found by solving E(x) = z from x0 = 0 where E(0) = 1
-    and E'(0) = 1."""
+    q^target_prec: log z in closed form (`_log_mod`), certified as the
+    root of E(x) = z by the Hensel solver started there, which proves it
+    with one evaluation of E and no Newton step."""
     from .rootfind import HenselProblem, hensel_solve
     _require_padic(z.descriptor)
     p = z.descriptor.q
@@ -181,9 +253,11 @@ def log_solve(z: FieldElement, target_prec: int) -> FieldElement:
     if target_prec <= e_min(p):
         # log is an isometry on the domain: v(log z) = v(z - 1) >= e_min
         return FieldElement.zero_to_precision(z.descriptor, target_prec)
-    # digits of z beyond the target cannot change x modulo q^target_prec
+    # digits of z beyond the target cannot change x modulo q^target_prec;
+    # z = 1 modulo q^e_min is a unit, so its unit is z modulo q^k
     z = z.truncate(min(z.abs_precision, target_prec))
-    f = exp_series(z.descriptor, target_prec)
-    x0 = FieldElement.zero_to_precision(z.descriptor, z.abs_precision)
+    F, k = z.descriptor, z.abs_precision
+    x0 = FieldElement.from_rational(F, _log_mod(F.arith, z.unit, k), 1, k)
+    f = exp_series(F, target_prec)
     cert = hensel_solve(HenselProblem(f, x0, z, e_min(p), target_prec))
     return cert.root.truncate(target_prec)

@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 import sys
 import tracemalloc
@@ -33,6 +34,8 @@ def readme_examples():
 README_EXAMPLES = list(readme_examples())
 # one digit more than int() converts
 HUGE = "9" * (sys.get_int_max_str_digits() + 1)
+# the dimension log 2 / log 3 of the middle-thirds digit set {0, 2}
+LOG3_2 = math.log(2) / math.log(3)
 
 
 def out_of(capsys):
@@ -381,18 +384,29 @@ def test_readme_lists_examples():
      "DomainError: 2^20000 balls: over"),
     (["dim", "-p", "3", "digits", "--digits", "0,2", "--depth", "20000",
       "--json"], 2, "DomainError"),
-    (["dim", "-p", "3", "digits", "--digits", "0,2", "--depth", "2000",
-      "--beta", "0"], 0, "content~inf (vs 1: +1)"),
-    (["dim", "-p", "3", "digits", "--digits", "0,2", "--depth", "2000",
-      "--beta", "0", "--json"], 0, '"content_approx": Infinity'),
+    # beta = 0: the content is the ball count 2^2000, past a float (named
+    # here, as the count would fill the test id)
+    pytest.param(["dim", "-p", "3", "digits", "--digits", "0,2", "--depth", "2000",
+                  "--beta", "0"], 0,
+                 f"balls={2 ** 2000} content~inf (vs 1: +1) dimension~{LOG3_2:.6f}",
+                 id="dim-depth-2000-beta-0"),
+    pytest.param(["dim", "-p", "3", "digits", "--digits", "0,2", "--depth", "2000",
+                  "--beta", "0", "--json"], 0,
+                 json.dumps({"ball_count": 2 ** 2000, "content_approx": math.inf,
+                             "content_compare_to_one": 1,
+                             "dimension": {"approx": LOG3_2, "count_base": 2,
+                                           "scale_base": 3}}, sort_keys=True),
+                 id="dim-depth-2000-beta-0-json"),
     (["val", "-p", "3", HUGE], 1, "parse error at position 0"),
     (["elem", "-p", "3", f"1 + O(3^{HUGE})"], 1, "parse error at position 8"),
     (["strassmann", "-p", "5", "--f", "X^2 + 1/0*X"], 1,
      "parse error at position 8: zero denominator"),
     (["strassmann", "-p", "3", "--m", "1", "--f", "9 + 9*X + tail:exp"], 2,
      "TailInconclusive: tail bound does not dominate strictly"),
+    # 3^5 balls of radius 5^-5 at the default depth 5: content 243 5^(-5/10^8)
     (["dim", "-p", "5", "digits", "--digits", "0,1,3", "--beta", "1/100000000"], 0,
-     "(vs 1: +1)"),
+     f"balls=243 content~{243 * 5 ** -5e-8:.6f} (vs 1: +1) "
+     f"dimension~{math.log(3) / math.log(5):.6f}"),
     (["elem", "-p", "5", "1", "add"], 1,
      "parse error at position 0: operator given without a second operand"),
     (["measure", "-p", "5", "scale", "0@0"], 1,
@@ -412,14 +426,17 @@ def test_readme_lists_examples():
     (["roots", "-p", "3", "-N", "8", "--f", "3*X^3"], 2,
      "UndecidedMultipleRoot: class at depth 4 has"),
     # both square roots of 6, though they agree modulo 5^0
-    (["roots", "-p", "5", "-N", "0", "--f", "X^2-6", "--json"], 0, '"count": 2'),
+    (["roots", "-p", "5", "-N", "0", "--f", "X^2-6", "--json"], 0,
+     json.dumps({"count": 2, "roots": 2 * [{"abs_precision": 0, "digits": [],
+                                            "text": "O(5^0)", "valuation": None}]},
+                sort_keys=True)),
     # x/5 maps B(0, 5^-2) onto B(0, 5^-1), known to its one digit at -N 3
     (["measure", "-p", "5", "-N", "3", "--f", "1/5*X", "--ball", "0@2", "image", "0@2"],
      0, "1/5"),
     (["factval", "-p", "2", "0"], 0, "0"),
     # B = 1, the least --beta-log, is beta = 0: the content is the ball count
     (["dim", "-p", "3", "digits", "--digits", "0,2", "--depth", "5", "--beta-log", "1"],
-     0, "(vs 1: +1)"),
+     0, f"balls=32 content~32.000000 (vs 1: +1) dimension~{LOG3_2:.6f}"),
     (["elem", "-p", "5", "5*5 + O(5^3)"], 1, "digit 5 out of range for base 5"),
     (["elem", "-p", "5", "1 + 2*5^3 + O(5^3)"], 1,
      "digit exponent 3 at or beyond precision 3"),
@@ -432,9 +449,14 @@ def test_readme_lists_examples():
      0, "1/3125"),
 ])
 def test_refusals_and_edge_answers_do_not_raise(capsys, argv, code, printed):
+    """An answer (code 0) is the whole output; a refusal's message is
+    part of its error line."""
     assert run(argv) == code
     out, err = out_of(capsys)
-    assert printed in (out if code == 0 else err)
+    if code == 0:
+        assert out == printed
+    else:
+        assert printed in err
 
 
 @pytest.mark.parametrize("argv, printed", [

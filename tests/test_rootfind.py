@@ -371,13 +371,15 @@ class TestPrecisionSchedule:
     the full target, where the full-precision loop asked for f and f' at
     every iterate."""
 
-    def test_log_solve_makes_two_full_target_evals(self, monkeypatch):
+    def test_log_solve_makes_one_full_target_eval(self, monkeypatch):
         # log_solve solves on exp_series, whose eval (E and E' = E) is
-        # its own closed form, not TruncatedSeries.eval
+        # its own closed form, not TruncatedSeries.eval; it starts at the
+        # closed-form log z, where E(x0) serves as f(x0) and f'(x0), and
+        # the residual vanishes: no Newton step evaluates E again
         calls = counted_evals(monkeypatch, type(exp_series(Q3, 1)))
         x = log_solve(FieldElement.from_rational(Q3, 10, 7, 300), 300)
-        full = [c for c in calls if c[2] >= 300 and not c[1].is_zero_to_precision]
-        assert len(full) == 2          # 18 before the schedule
+        full = [c for c in calls if c[2] >= 300]
+        assert len(full) == 1          # 18 before the schedule, 2 from x0 = 0
         assert x.abs_precision == 300
 
     def test_hensel_makes_two_full_target_evals(self, monkeypatch):

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import log_model
 import series_model as model
 from dvfield import special
 from dvfield.errors import DomainError, PrecisionExhausted
@@ -357,3 +360,123 @@ class TestLog:
             log_solve(el(Q5, 2, 1, 12), 8)
         with pytest.raises(DomainError):
             log_solve(el(Q2, 3, 1, 12), 8)    # v(z-1) = 1 < 2
+
+
+def exact_log_mod(p, z, k):
+    """log z modulo p^k for an integer z = 1 modulo p^e_min(p), from the
+    exact sum of (-1)^(j+1) (z-1)^j / j over j <= 2k + 2: every later
+    term has valuation j v(z-1) - v_p(j) >= j - log2(j) > k."""
+    u = z - 1
+    s = sum(Fraction((-1) ** (j + 1) * u ** j, j) for j in range(1, 2 * k + 3))
+    assert s.denominator % p != 0
+    return s.numerator * pow(s.denominator, -1, p ** k) % p ** k
+
+
+def closed_form(F, z, k):
+    """_log_mod on z modulo q^k, as an element known to k digits."""
+    return FieldElement.from_rational(F, special._log_mod(F.arith, z, k), 1, k)
+
+
+class TestLogClosedForm:
+    """log z in closed form (bit-burst binary splitting), checked on its
+    own: `log_solve` certifies it with a Newton solve, which would also
+    correct a wrong start, so these tests read `_log_mod` directly."""
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_matches_exact_partial_sums(self, p):
+        rng = random.Random(p)
+        K, s = Qp(p).arith, e_min(p)
+        for k in list(range(1, 13)) + [20, 33]:
+            zs = [1, 1 + p ** s, 1 + p ** k, 1 - p ** s]
+            zs += [1 + p ** (s + rng.randrange(3)) * rng.randrange(1, p ** k)
+                   for _ in range(6)]
+            for z in zs:
+                z %= p ** k
+                assert special._log_mod(K, z, k) == exact_log_mod(p, z, k), (k, z)
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_matches_the_solve_from_zero(self, p):
+        """Against the logarithm as Newton found it from x0 = 0
+        (`log_model`), to the same precision."""
+        F, s = Qp(p), e_min(p)
+        rng = random.Random(10 + p)
+        for N in (3, 8, 30, 100, 300):
+            for _ in range(4):
+                v = s + rng.randrange(4)
+                z = el(F, 1 + p ** v * rng.randrange(1, p ** 8), 1 + p ** s * rng.randrange(50), N)
+                want = log_model.log_solve(z, N)
+                assert closed_form(F, z.unit, N) == want, (N, z)
+                assert log_solve(z, N) == want
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    @pytest.mark.parametrize("N", (1000, 3000))
+    def test_exp_of_the_closed_form_is_z(self, p, N):
+        F = Qp(p)
+        rng = random.Random(N * p)
+        z = 1 + p ** e_min(p) * rng.randrange(1, p ** (N - e_min(p)))
+        x = closed_form(F, z, N)
+        assert exp_eval(x, N) == FieldElement(F, 0, z, N)
+
+    def test_term_cut_off(self):
+        """J, the first index from which every term e^j / j, v(e) >= lo,
+        vanishes modulo p^k, against a direct search, and on the two
+        inputs around a term of valuation j lo - v_p(j) = k."""
+        K2 = Q2.arith
+        # k = 12: the term j = 6 has j lo = k, but v_2(6) = 1 leaves it at
+        # valuation 11, so it is summed; k = 11: that term is the first
+        # dropped, at valuation exactly k
+        assert special._log_terms(K2, 2, 12) == 7
+        assert special._log_terms(K2, 2, 11) == 6
+        for k in (11, 12):
+            # z = 5: the first chunk is e = 4, of valuation lo = 2 exactly
+            assert special._log_mod(K2, 5, k) == exact_log_mod(2, 5, k)
+        for p in (2, 3, 5, 7):
+            K = Qp(p).arith
+            v = [0] + [factorial_valuation(p, j) - factorial_valuation(p, j - 1)
+                       for j in range(1, 200)]
+            for k in range(2, 70):
+                for lo in range(e_min(p), k):
+                    live = [j for j in range(1, 2 * k + 2) if j * lo - v[j] < k]
+                    assert special._log_terms(K, lo, k) == live[-1] + 1, (p, lo, k)
+
+
+@st.composite
+def log_case(draw):
+    """(z, N): z = 1 + p^v u known to N digits, or to fewer when short,
+    v from e_min to N + 2 (z = 1 to its precision from v >= N on)."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    s = e_min(p)
+    N = draw(st.integers(s + 1, 200))
+    v = draw(st.integers(s, N + 2))
+    u = draw(st.integers(1, p ** 12))
+    prec = N if not draw(st.booleans()) else draw(st.integers(s, N - 1))
+    return el(Qp(p), 1 + p ** v * u, 1, prec), N
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_case())
+def test_the_closed_form_needs_no_newton_step(case):
+    """From the closed form the solve proves log z with an empty b trace,
+    returning what the solve from x0 = 0 returns; z known below the target
+    is still refused, as there."""
+    from dvfield import rootfind
+    z, N = case
+    certs = []
+    solve = rootfind.hensel_solve
+
+    def spy(problem):
+        certs.append(solve(problem))
+        return certs[-1]
+    rootfind.hensel_solve = spy
+    try:
+        if z.abs_precision < N:
+            with pytest.raises(PrecisionExhausted):
+                log_solve(z, N)
+            with pytest.raises(PrecisionExhausted):
+                log_model.log_solve(z, N)
+            return
+        x = log_solve(z, N)
+    finally:
+        rootfind.hensel_solve = solve
+    assert len(certs) == 1 and certs[0].b_trace == ()
+    assert x == log_model.log_solve(z, N)
