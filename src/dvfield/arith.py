@@ -96,11 +96,30 @@ class PadicArith(_Rules):
         return m
 
     def strip(self, u: int) -> Tuple[int, int]:
-        """(t, u / p^t) for the largest t with p^t dividing u != 0."""
-        p, t = self.q, 0
-        while u % p == 0:
-            u //= p
-            t += 1
+        """(t, u / p^t) for the largest t with p^t dividing u != 0, in
+        O(log t) big-int divisions, where dividing by p once per digit
+        is quadratic in t."""
+        p = self.q
+        if u % p:
+            return 0, u
+        if p == 2:
+            t = (u & -u).bit_length() - 1
+            return t, u >> t
+        # divide by p, p^2, p^4, ... while each divides; then less than
+        # the last square m divides the rest, and its bits come from the top
+        t, n, m, squares = 0, 1, p, []
+        while not u % m:
+            u //= m
+            t += n
+            squares.append(m)
+            m *= m
+            n += n
+        while squares:
+            m = squares.pop()
+            n >>= 1
+            if not u % m:
+                u //= m
+                t += n
         return t, u
 
     def split(self, n: int) -> Tuple[Valuation, int]:

@@ -18,6 +18,23 @@ The logarithm is summed in closed form the same way (`_log_mod`), and
 proves it as the root of E(x) = z with one evaluation of E.  log is an
 isometry on the domain too, so log z is known to exactly the digits of
 z, and a wrong closed form could cost Newton steps but never a digit.
+
+Both kernels read the digits of their argument below H = 8 e_min(p)
+off one table per prime (`_table`): E(p^i) and E(p^i)^-1 modulo p^K for
+i in [e_min, H), K the largest precision asked for at p so far.  Two
+identities make it exact:
+
+- E(n y) = E(y)^n, so E(sum d_i p^i) = prod E(p^i)^(d_i), and the table
+  is one series sum, E(p^e_min), followed by p-th powers: E(p^(i+1)) =
+  E(p^i)^p;
+- log(E(p^i)^d) = d p^i, so log z takes the digit d of z - 1 at p^i by
+  z <- z E(p^i)^(-d), which clears it, and adding d p^i.
+
+The series sums then start at H, where they need a fraction of the
+terms the lowest digits need.  A table holds 2 (H - e_min) ints of the
+largest precision asked for, per prime; a call at a smaller k reduces
+its entries modulo p^k.  `exp_series` keeps its last few series by (field,
+target), so a `log_solve` builds the certificate's 1/j! once.
 """
 
 from __future__ import annotations
@@ -39,6 +56,14 @@ __getattr__ = _resolve
 _LEAF_TERMS = 32
 # coefficients exp_series stores (see there)
 _STORED = 5
+# the table covers the digit positions [e_min, _HEAD e_min) (see `_table`)
+_HEAD = 8
+# p -> [K, [E(p^i)], [E(p^i)^-1] or None], modulo p^K, for i in [e_min, H)
+_tables: dict = {}
+# how many series exp_series keeps; the (field, target) pairs in use at
+# one time are few
+_SERIES_KEPT = 32
+_series: dict = {}
 
 
 def e_min(p: int) -> int:
@@ -72,34 +97,91 @@ def _split(x: int, a: int, b: int, M: int) -> tuple[int, int, int]:
     return P1 * P2 % M, Q1 * Q2 % M, (T1 * Q2 + P1 * T2) % M
 
 
+def _exp_sum(K, chunk: int, lo: int, k: int) -> tuple[int, int]:
+    """(num, den) with E(chunk) = num / den modulo p^k, den prime to p,
+    for 0 < chunk < p^k with v(chunk) >= lo >= e_min(p).
+
+    The sum runs over j < J, the first index where the Legendre minorant
+    j lo - (j-1)/(p-1) of v(chunk^j / j!) reaches k, so every dropped
+    term vanishes modulo p^k.  With Q = (J-1)! = p^t Q' and t from
+    Legendre, T and Q are needed only modulo p^(k+t): E(chunk) = (Q' +
+    T/p^t) / Q' modulo p^k."""
+    p = K.q
+    pk = K.power(k)
+    # j (lo (p-1) - 1) + 1 >= k (p-1) for every j >= J; lo < k, since
+    # p^lo divides chunk < p^k, so J >= 2
+    J = -(-(k * (p - 1) - 1) // (lo * (p - 1) - 1))
+    pt = p ** factorial_valuation(p, J - 1)
+    _, Q, T = _split(chunk, 1, J, pk * pt)
+    return (Q + T) // pt % pk, Q // pt % pk
+
+
+def _table(K, k: int, inverses: bool = False) -> list[int]:
+    """E(p^i) modulo p^K', K' >= k, for i in [e_min, H), or with
+    `inverses` E(p^i)^-1, from the table of p, which is built again at k
+    when it is shorter.
+
+    E(p^e_min) = num / den is the one series sum (`_exp_sum`), and
+    E(p^(i+1)) = E(p^i)^p carries it up; the inverses, which only the
+    logarithm reads, are the same chain from one inversion, made when
+    first asked for.  Needs k > e_min(p), which every argument with a
+    digit below H has."""
+    p = K.q
+    table = _tables.get(p)
+    if table is None or table[0] < k:
+        s = e_min(p)
+        num, den = _exp_sum(K, p ** s, s, k)
+        table = _tables[p] = [k, _chain(K, num * K.inv(den, k), k), None]
+    if not inverses:
+        return table[1]
+    if table[2] is None:
+        table[2] = _chain(K, K.inv(table[1][0], table[0]), table[0])
+    return table[2]
+
+
+def _chain(K, e: int, k: int) -> list[int]:
+    """e, e^p, e^(p^2), ... modulo p^k, one for each position in [e_min, H)."""
+    p = K.q
+    pk = K.power(k)
+    out = [e % pk]
+    for _ in range(1, (_HEAD - 1) * e_min(p)):
+        e = out[-1]
+        # modulo 2^k a mask reduces in linear time, where % divides
+        out.append(e * e & pk - 1 if p == 2 else pow(e, p, pk))
+    return out
+
+
 def _exp_mod(K, x: int, k: int) -> int:
     """E(x) modulo p^k, k >= 1, for an integer x with v(x) >= e_min(p).
 
-    Bit-burst: the digits of x in [2^i s, 2^(i+1) s), s = e_min(p), form
-    the chunk x_i, and E(x) = prod E(x_i) (digits from k on change E(x)
-    only from k on).  The chunk of valuation l >= 2^i s is summed over j
-    < J, the first index where the Legendre minorant j l - (j-1)/(p-1)
-    of v(x_i^j / j!) reaches k, so every dropped term vanishes modulo
-    p^k.  With Q = (J-1)! = p^t Q' and t from Legendre, T and Q are
-    needed only modulo p^(k+t): E(x_i) = (Q' + T/p^t) / Q' modulo p^k.
-    The chunk quotients share one inversion at the end."""
+    The digits d_i of x below H = 8 s, s = e_min(p), give prod E(p^i)^d_i
+    from the table (`_table`).  Above H, bit-burst: the digits of x in
+    [2^j H, 2^(j+1) H) form the chunk x_j, and E(x) is that product times
+    prod E(x_j) (digits from k on change E(x) only from k on), each
+    E(x_j) summed by `_exp_sum`.  The chunk quotients share one
+    inversion at the end."""
     p = K.q
     pk = K.power(k)
     x %= pk
+    s = e_min(p)
+    lo = _HEAD * s
+    head = x % K.power(lo)
     num = den = 1
-    lo = e_min(p)
+    if head:
+        x -= head
+        head //= p ** s
+        for e in _table(K, k):
+            head, d = divmod(head, p)
+            if d:
+                num = num * pow(e, d, pk) % pk
     while x:
         hi = min(2 * lo, k)
         chunk = x % K.power(hi)
         x -= chunk
         if chunk:
-            # j (lo (p-1) - 1) + 1 >= k (p-1) for every j >= J; lo < k,
-            # since p^lo divides chunk < p^k, so J >= 2
-            J = -(-(k * (p - 1) - 1) // (lo * (p - 1) - 1))
-            pt = p ** factorial_valuation(p, J - 1)
-            _, Q, T = _split(chunk, 1, J, pk * pt)
-            num = num * ((Q + T) // pt) % pk
-            den = den * (Q // pt) % pk
+            n, d = _exp_sum(K, chunk, lo, k)
+            num = num * n % pk
+            den = den * d % pk
         lo = hi
     return num * K.inv(den, k) % pk
 
@@ -140,20 +222,33 @@ def _log_terms(K, lo: int, k: int) -> int:
 def _log_mod(K, z: int, k: int) -> int:
     """log z modulo p^k, k >= 1, for an integer z = 1 modulo p^e_min(p).
 
-    Bit-burst, as in `_exp_mod`: at the level of lo, with r = 1 modulo
-    p^lo, the chunk e = (r - 1) modulo p^hi, hi = min(2 lo, k), has
-    valuation >= lo, and r (1 - e) = 1 - (r - 1)^2 modulo p^hi, so the
-    step r <- r (1 - e) needs no inverse.  Once r = 1 modulo p^k, log r
-    vanishes there (log is an isometry on the domain), so log z = sum
-    over the chunks of -log(1 - e) = sum_{j >= 1} e^j / j, every term
+    First the digits of z - 1 below H = 8 e_min(p), from the lowest: with
+    r = 1 modulo p^i and d the digit of r - 1 at p^i, r <- r E(p^i)^(-d)
+    (`_table`) makes r = 1 modulo p^(i+1), and log z gains log(E(p^i)^d)
+    = d p^i.  Then bit-burst, as in `_exp_mod`: at the level of lo, with
+    r = 1 modulo p^lo, the chunk e = (r - 1) modulo p^hi, hi = min(2 lo,
+    k), has valuation >= lo, and r (1 - e) = 1 - (r - 1)^2 modulo p^hi,
+    so the step r <- r (1 - e) needs no inverse.  Once r = 1 modulo p^k,
+    log r vanishes there (log is an isometry on the domain), so log z
+    adds, over the chunks, -log(1 - e) = sum_{j >= 1} e^j / j, every term
     positive.  The chunk is summed over j < J (`_log_terms`) and, as in
-    `_exp_mod`, modulo p^(k+t), B = (J-1)! = p^t B'; the sums share one
+    `_exp_sum`, modulo p^(k+t), B = (J-1)! = p^t B'; the sums share one
     inversion at the end."""
     p = K.q
     pk = K.power(k)
     r = z % pk
+    s = e_min(p)
+    lo = _HEAD * s
+    head = 0
+    if r % K.power(lo) != 1:
+        pi = p ** s
+        for f in _table(K, k, inverses=True):
+            d = r // pi % p
+            if d:
+                r = r * pow(f, d, pk) % pk
+                head += d * pi
+            pi *= p
     num, den = 0, 1
-    lo = e_min(p)
     while lo < k:
         hi = min(2 * lo, k)
         e = (r - 1) % K.power(hi)
@@ -166,7 +261,7 @@ def _log_mod(K, z: int, k: int) -> int:
             den = den * B % pk
             r = r * (1 - e) % pk
         lo = hi
-    return num * K.inv(den, k) % pk
+    return (head + num * K.inv(den, k)) % pk
 
 
 def _exp(x: FieldElement, target_prec: int) -> FieldElement:
@@ -205,7 +300,13 @@ def exp_series(descriptor: FieldDescriptor, target_prec: int) -> TruncatedSeries
     bound at j = 2K - 1, m (j - k) - (j - 1)/(p - 1), is at least 0 >=
     v(a_k).  So `sup_exponent(m, k)` and `strassmann_bound` from index 0
     or 1 get from these the result a longer table gives.  The factory
-    builds them and every further coefficient."""
+    builds them and every further coefficient.
+
+    A series is immutable, so the last `_SERIES_KEPT` are kept by
+    (descriptor, target_prec) and returned again."""
+    E = _series.get((descriptor, target_prec))
+    if E is not None:
+        return E
     _require_padic(descriptor)
     p = descriptor.q
     slope = Fraction(-1, p - 1)
@@ -225,7 +326,10 @@ def exp_series(descriptor: FieldDescriptor, target_prec: int) -> TruncatedSeries
                              / (slope + m)) + 1)
     coeffs = tuple(factory(j) for j in range(min(count, _STORED)))
     tail = TailProfile(start=1, slope=slope, intercept=intercept)
-    return _Exponential(descriptor, coeffs, tail, factory)
+    if len(_series) >= _SERIES_KEPT:
+        _series.clear()
+    E = _series[descriptor, target_prec] = _Exponential(descriptor, coeffs, tail, factory)
+    return E
 
 
 def exp_eval(x: FieldElement, target_prec: int) -> FieldElement:

@@ -177,3 +177,21 @@ class TestConstructionInvariants:
                     - FieldElement.from_digits(F, 0, [3], 4).unit)
         with pytest.raises(ValueError):
             FieldElement(F, 0, low_zero, 4)
+
+
+def naive_strip(p, u):
+    t = 0
+    while u % p == 0:
+        u //= p
+        t += 1
+    return t, u
+
+
+@FUZZ
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(0, 300), st.integers(1, 7 ** 40),
+       st.booleans())
+def test_padic_strip_matches_the_digit_loop(p, t, w, negative):
+    """strip finds t by dividing by p^(2^j), not once per digit; the unit
+    part w may itself be divisible by p, and then t grows by its share."""
+    u = (-1 if negative else 1) * p ** t * w
+    assert Qp(p).arith.strip(u) == naive_strip(p, u)

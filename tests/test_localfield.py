@@ -67,6 +67,15 @@ class TestArithmetic:
         assert (x - x).is_zero_to_precision
         assert (x - x).abs_precision == 4
 
+    @pytest.mark.parametrize("F", (Q5, L5))
+    def test_zero_summand_at_the_other_valuation(self, F):
+        """x of valuation 3 plus a zero known to 3 digits is zero to 3
+        digits: the sum keeps no digit of x, not a unit 0 at valuation 3."""
+        x = FieldElement.from_digits(F, 3, (1, 2), 5)
+        for s in (x + FieldElement.zero_to_precision(F, 3),
+                  FieldElement.zero_to_precision(F, 3) + x):
+            assert s == FieldElement.zero_to_precision(F, 3)
+
     def test_mul_matches_rationals(self):
         x = el(Q5, 7, 2, 8)
         y = el(Q5, -3, 4, 8)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exp_model
 import log_model
 import series_model as model
 from dvfield import special
@@ -324,12 +325,14 @@ class TestLog:
     def test_solves_at_the_target_not_at_z_precision(self, monkeypatch):
         # z known far beyond the target: the solve works to the target only,
         # so it builds no more coefficients than for z known to the target
+        # (each solve builds its exp_series afresh, not from the memo)
         x = el(Q3, 3 * 7, 1, 60)
         fine, coarse = exp_eval(x, 60), exp_eval(x, 30)
         from_rational = FieldElement.from_rational.__func__
         counts = []
         for z in (fine, coarse):
             calls = []
+            special._series.clear()
 
             def counted(cls, *args, **kwargs):
                 calls.append(args)
@@ -480,3 +483,129 @@ def test_the_closed_form_needs_no_newton_step(case):
         rootfind.hensel_solve = solve
     assert len(certs) == 1 and certs[0].b_trace == ()
     assert x == log_model.log_solve(z, N)
+
+
+def head_end(p):
+    """H, the digit position from which the kernels sum series."""
+    return special._HEAD * e_min(p)
+
+
+@st.composite
+def kernel_case(draw):
+    """(p, x, k): x with v(x) >= e_min(p) and digits below H only (head),
+    from H on only (tail), both, or none (x = 0); k from 1 to 400, k <= H
+    included, and a digit forced at H - 1 or at H in some cases."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    s, H = e_min(p), head_end(p)
+    k = draw(st.one_of(st.integers(1, H + 1), st.integers(1, 400)))
+    shape = draw(st.sampled_from(("head", "tail", "both", "none")))
+    x = 0
+    if shape in ("head", "both"):
+        x += p ** s * draw(st.integers(1, p ** (H - s) - 1))
+    if shape in ("tail", "both"):
+        x += p ** H * draw(st.integers(1, p ** max(1, k - H + 2)))
+    if shape != "none":
+        edge = draw(st.sampled_from((None, H - 1, H)))
+        if edge is not None:
+            x = x - x // p ** edge % p * p ** edge + draw(st.integers(1, p - 1)) * p ** edge
+    return p, x, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_case())
+def test_kernels_match_the_model(case):
+    """E(x) and log(1 + x) from the table and the series above H, against
+    the series over every digit (`exp_model`), on whatever table earlier
+    cases left behind."""
+    p, x, k = case
+    K = Qp(p).arith
+    assert special._exp_mod(K, x, k) == exp_model.exp_mod(K, x, k)
+    assert special._log_mod(K, 1 + x, k) == exp_model.log_mod(K, 1 + x, k)
+
+
+class TestDigitTable:
+    """The table of E(p^i) and E(p^i)^-1 the kernels read the digits below
+    H from."""
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7))
+    def test_entries_are_exponentials_and_their_inverses(self, p, monkeypatch):
+        monkeypatch.setattr(special, "_tables", {})
+        K, s = Qp(p).arith, e_min(p)
+        k = 60
+        up, down = special._table(K, k), special._table(K, k, inverses=True)
+        assert special._tables[p][0] == k and len(up) == len(down) == head_end(p) - s
+        for i, (e, f) in enumerate(zip(up, down), start=s):
+            assert e == exp_model.exp_mod(K, p ** i, k), i
+            assert e * f % p ** k == 1
+
+    def test_grows_and_is_reused(self, monkeypatch):
+        monkeypatch.setattr(special, "_tables", {})
+        rng = random.Random(25)
+        for p in (2, 3, 5, 7):
+            K, s = Qp(p).arith, e_min(p)
+            for k, kept in ((50, 50), (300, 300), (30, 300)):
+                for _ in range(3):
+                    x = p ** s * rng.randrange(1, p ** k)
+                    assert special._exp_mod(K, x, k) == exp_model.exp_mod(K, x, k), (p, k)
+                    assert special._log_mod(K, 1 + x, k) == exp_model.log_mod(K, 1 + x, k)
+                assert special._tables[p][0] == kept
+
+    def test_built_from_one_series_sum_per_prime(self, monkeypatch):
+        monkeypatch.setattr(special, "_tables", {})
+        sums = []
+        exp_sum = special._exp_sum
+
+        def counted(*args):
+            sums.append(args[1:])
+            return exp_sum(*args)
+        monkeypatch.setattr(special, "_exp_sum", counted)
+        for p in (2, 3, 5, 7):
+            K, s, H = Qp(p).arith, e_min(p), head_end(p)
+            head = p ** H - p ** s          # the digit p - 1 at every i in [s, H)
+            special._exp_mod(K, head, 300)
+            assert sums == [(p ** s, s, 300)]
+            special._exp_mod(K, head, 300)
+            special._exp_mod(K, head, 120)
+            assert special._tables[p][2] is None     # exp reads no inverse
+            special._log_mod(K, 1 + head, H)
+            assert len(sums) == 1 and special._tables[p][2] is not None
+            sums.clear()
+        assert sorted(special._tables) == [2, 3, 5, 7]
+
+    def test_no_table_without_head_digits(self, monkeypatch):
+        monkeypatch.setattr(special, "_tables", {})
+        for p in (2, 3, 5, 7):
+            K, H = Qp(p).arith, head_end(p)
+            for k in (1, e_min(p), H, 200):
+                assert special._exp_mod(K, 0, k) == 1 % p ** k
+                assert special._exp_mod(K, p ** H * 5, k) == exp_model.exp_mod(K, p ** H * 5, k)
+                assert special._log_mod(K, 1, k) == 0
+                assert special._log_mod(K, 1 + p ** H, k) == exp_model.log_mod(K, 1 + p ** H, k)
+        assert special._tables == {}
+
+
+class TestSeriesMemo:
+    def test_log_solve_builds_the_coefficients_once(self, monkeypatch):
+        special._series.clear()
+        z = exp_eval(el(Q5, 5 * 3, 1, 40), 40)
+        from_rational = FieldElement.from_rational.__func__
+        counts = []
+        for _ in range(2):
+            calls = []
+
+            def counted(cls, *args):
+                calls.append(args)
+                return from_rational(cls, *args)
+            monkeypatch.setattr(FieldElement, "from_rational", classmethod(counted))
+            x = log_solve(z, 40)
+            monkeypatch.undo()
+            counts.append(len(calls))
+            assert x == log_model.log_solve(z, 40)
+        assert counts[0] - counts[1] == exp_series(Q5, 40).stored_len == 5
+
+    def test_the_memo_is_bounded(self):
+        special._series.clear()
+        for N in range(1, 3 * special._SERIES_KEPT):
+            E = exp_series(Q3, N)
+            assert len(special._series) <= special._SERIES_KEPT
+            assert exp_series(Q3, N) is E
