@@ -32,9 +32,10 @@ identities make it exact:
 
 The series sums then start at H, where they need a fraction of the
 terms the lowest digits need.  A table holds 2 (H - e_min) ints of the
-largest precision asked for, per prime; a call at a smaller k reduces
-its entries modulo p^k.  `exp_series` keeps its last few series by (field,
-target), so a `log_solve` builds the certificate's 1/j! once.
+largest precision asked for, per prime; a call at a smaller k reads its
+entries cut to p^k, each cut made once and kept (see `_table`).
+`exp_series` keeps its last few series by (field, target), so a
+`log_solve` builds the certificate's 1/j! once.
 """
 
 from __future__ import annotations
@@ -58,8 +59,13 @@ _LEAF_TERMS = 32
 _STORED = 5
 # the table covers the digit positions [e_min, _HEAD e_min) (see `_table`)
 _HEAD = 8
-# p -> [K, [E(p^i)], [E(p^i)^-1] or None], modulo p^K, for i in [e_min, H)
+# p -> [K, [E(p^i)], [E(p^i)^-1] or None, {(k, inverses): entries mod p^k}],
+# modulo p^K, for i in [e_min, H)
 _tables: dict = {}
+# how many primes keep a table, and how many cuts to a smaller k each
+# table keeps; the primes and precisions in use at one time are few
+_PRIMES_KEPT = 16
+_CUTS_KEPT = 32
 # how many series exp_series keeps; the (field, target) pairs in use at
 # one time are few
 _SERIES_KEPT = 32
@@ -117,26 +123,42 @@ def _exp_sum(K, chunk: int, lo: int, k: int) -> tuple[int, int]:
 
 
 def _table(K, k: int, inverses: bool = False) -> list[int]:
-    """E(p^i) modulo p^K', K' >= k, for i in [e_min, H), or with
-    `inverses` E(p^i)^-1, from the table of p, which is built again at k
-    when it is shorter.
+    """E(p^i) modulo p^k for i in [e_min, H), or with `inverses`
+    E(p^i)^-1, from the table of p, which is built again at k when it is
+    shorter.
 
     E(p^e_min) = num / den is the one series sum (`_exp_sum`), and
     E(p^(i+1)) = E(p^i)^p carries it up; the inverses, which only the
     logarithm reads, are the same chain from one inversion, made when
-    first asked for.  Needs k > e_min(p), which every argument with a
-    digit below H has."""
+    first asked for.  A smaller k gets the entries cut to p^k, kept per
+    (k, inverses), so no call reduces entries as wide as the largest
+    precision seen.  Needs k > e_min(p), which every argument with a
+    digit below H has.
+
+    Memory, per prime: the table, 2 (H - e_min) ints modulo p^K, K the
+    largest k asked for at p, and at most _CUTS_KEPT cuts of H - e_min
+    ints each, all narrower; at most _PRIMES_KEPT primes are kept."""
     p = K.q
     table = _tables.get(p)
     if table is None or table[0] < k:
+        if table is None and len(_tables) >= _PRIMES_KEPT:
+            _tables.clear()
         s = e_min(p)
         num, den = _exp_sum(K, p ** s, s, k)
-        table = _tables[p] = [k, _chain(K, num * K.inv(den, k), k), None]
-    if not inverses:
-        return table[1]
-    if table[2] is None:
+        table = _tables[p] = [k, _chain(K, num * K.inv(den, k), k), None, {}]
+    if inverses and table[2] is None:
         table[2] = _chain(K, K.inv(table[1][0], table[0]), table[0])
-    return table[2]
+    entries = table[2] if inverses else table[1]
+    if k == table[0]:
+        return entries
+    cuts = table[3]
+    cut = cuts.get((k, inverses))
+    if cut is None:
+        if len(cuts) >= _CUTS_KEPT:
+            cuts.clear()
+        pk = K.power(k)
+        cut = cuts[k, inverses] = [e % pk for e in entries]
+    return cut
 
 
 def _chain(K, e: int, k: int) -> list[int]:
@@ -145,9 +167,7 @@ def _chain(K, e: int, k: int) -> list[int]:
     pk = K.power(k)
     out = [e % pk]
     for _ in range(1, (_HEAD - 1) * e_min(p)):
-        e = out[-1]
-        # modulo 2^k a mask reduces in linear time, where % divides
-        out.append(e * e & pk - 1 if p == 2 else pow(e, p, pk))
+        out.append(pow(out[-1], p, pk))
     return out
 
 

@@ -549,6 +549,26 @@ class TestDigitTable:
                     assert special._exp_mod(K, x, k) == exp_model.exp_mod(K, x, k), (p, k)
                     assert special._log_mod(K, 1 + x, k) == exp_model.log_mod(K, 1 + x, k)
                 assert special._tables[p][0] == kept
+            # read at 30 below a table of 300 digits: cut to p^30, once
+            for inverses in (False, True):
+                cut = special._table(K, 30, inverses)
+                assert all(0 <= e < p ** 30 for e in cut)
+                assert special._table(K, 30, inverses) is cut
+            assert special._table(K, 30) == [exp_model.exp_mod(K, p ** i, 30)
+                                             for i in range(s, head_end(p))]
+
+    def test_cuts_and_primes_kept_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(special, "_tables", {})
+        K = Qp(3).arith
+        top = special._table(K, 300)
+        for k in range(2, 2 + 3 * special._CUTS_KEPT):
+            assert special._table(K, k) == [e % 3 ** k for e in top]
+            assert 1 <= len(special._tables[3][3]) <= special._CUTS_KEPT
+        assert special._tables[3][0] == 300
+        primes = [q for q in range(3, 400, 2) if all(q % d for d in range(3, q, 2))]
+        for q in primes[:2 * special._PRIMES_KEPT]:
+            special._table(Qp(q).arith, 4)
+            assert q in special._tables and len(special._tables) <= special._PRIMES_KEPT
 
     def test_built_from_one_series_sum_per_prime(self, monkeypatch):
         monkeypatch.setattr(special, "_tables", {})
