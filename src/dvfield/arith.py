@@ -26,13 +26,14 @@ through them.
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import List, Sequence, Tuple
 
 from .valuation import INFINITY, Valuation
 
-# how many powers p^k each PadicArith keeps; the exponents in use at one
-# time are few (one precision and its neighbours)
+# how many powers p^k each PadicArith keeps: a prime sees 40-51 exponents
+# in padic-exp-log and 151-186 in roots-simple, but few at one time
 _POWERS_KEPT = 32
 
 
@@ -81,19 +82,11 @@ class PadicArith(_Rules):
 
     def __init__(self, p: int):
         self.q = p
-        self._powers = {}
+        # power(k) is p^k, from a cache of the exponents in use
+        self.power = functools.lru_cache(maxsize=_POWERS_KEPT)(p.__pow__)
         # digits below which pow's extended Euclid beats Newton iteration:
         # about 40 bits, one or two CPython limbs (measured for p = 2..7)
         self._newton_from = max(1, 40 // p.bit_length())
-
-    def power(self, k: int) -> int:
-        """p^k, from a small cache of the exponents in use."""
-        m = self._powers.get(k)
-        if m is None:
-            if len(self._powers) >= _POWERS_KEPT:
-                self._powers.clear()
-            m = self._powers[k] = self.q ** k
-        return m
 
     def strip(self, u: int) -> Tuple[int, int]:
         """(t, u / p^t) for the largest t with p^t dividing u != 0, in

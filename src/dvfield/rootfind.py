@@ -358,7 +358,7 @@ def _scan_class(s: _Series, m: int, center: FieldElement, level: int,
     w = _eval_at_least(f, center, prec, 1)
     # any root x in the class has |f(center)| = |f(center) - f(x)| <=
     # M1 * q^(-level), so a smaller determined residual rules the class out
-    if not w.is_zero_to_precision and w.valuation < s.e_m1 + (level - m):
+    if not w.is_zero_to_precision and w.valuation < s.e_m1 + level:
         return
     fp = _eval_at_least(s.fprime, center, prec, 1)
     if not fp.is_zero_to_precision:

@@ -20,9 +20,9 @@ isometry on the domain too, so log z is known to exactly the digits of
 z, and a wrong closed form could cost Newton steps but never a digit.
 
 Both kernels read the digits of their argument below H = 8 e_min(p)
-off one table per prime (`_table`): E(p^i) and E(p^i)^-1 modulo p^K for
-i in [e_min, H), K the largest precision asked for at p so far.  Two
-identities make it exact:
+off a table (`_table`): E(p^i) and E(p^i)^-1 modulo p^k for i in
+[e_min, H), one table per (prime, precision) in use.  Two identities
+make it exact:
 
 - E(n y) = E(y)^n, so E(sum d_i p^i) = prod E(p^i)^(d_i), and the table
   is one series sum, E(p^e_min), followed by p-th powers: E(p^(i+1)) =
@@ -31,15 +31,17 @@ identities make it exact:
   z <- z E(p^i)^(-d), which clears it, and adding d p^i.
 
 The series sums then start at H, where they need a fraction of the
-terms the lowest digits need.  A table holds 2 (H - e_min) ints of the
-largest precision asked for, per prime; a call at a smaller k reads its
-entries cut to p^k, each cut made once and kept (see `_table`).
-`exp_series` keeps its last few series by (field, target), so a
-`log_solve` builds the certificate's 1/j! once.
+terms the lowest digits need.  `_table` builds the entries at exactly
+the k asked for and keeps the last `_TABLES_KEPT` (prime, precision,
+inverses) keys: 2 (H - e_min) ints per (prime, precision) with the
+inverses, at most `_TABLES_KEPT` (H - e_min) in all.  `exp_series`
+keeps its last few series by (field, target), so a `log_solve` builds
+the certificate's 1/j! once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -59,17 +61,12 @@ _LEAF_TERMS = 32
 _STORED = 5
 # the table covers the digit positions [e_min, _HEAD e_min) (see `_table`)
 _HEAD = 8
-# p -> [K, [E(p^i)], [E(p^i)^-1] or None, {(k, inverses): entries mod p^k}],
-# modulo p^K, for i in [e_min, H)
-_tables: dict = {}
-# how many primes keep a table, and how many cuts to a smaller k each
-# table keeps; the primes and precisions in use at one time are few
-_PRIMES_KEPT = 16
-_CUTS_KEPT = 32
-# how many series exp_series keeps; the (field, target) pairs in use at
-# one time are few
+# how many (prime, precision, inverses) tables `_table` keeps: a round
+# of padic-exp-log asks for 44
+_TABLES_KEPT = 64
+# how many (field, target) series exp_series keeps: a round of
+# padic-exp-log asks for 16
 _SERIES_KEPT = 32
-_series: dict = {}
 
 
 def e_min(p: int) -> int:
@@ -122,53 +119,36 @@ def _exp_sum(K, chunk: int, lo: int, k: int) -> tuple[int, int]:
     return (Q + T) // pt % pk, Q // pt % pk
 
 
-def _table(K, k: int, inverses: bool = False) -> list[int]:
+@functools.lru_cache(maxsize=_TABLES_KEPT)
+def _table(K, k: int, inverses: bool) -> tuple[int, ...]:
     """E(p^i) modulo p^k for i in [e_min, H), or with `inverses`
-    E(p^i)^-1, from the table of p, which is built again at k when it is
-    shorter.
+    E(p^i)^-1.  Call it with positional arguments only, so that each
+    (K, k, inverses) is one key of the cache.
 
     E(p^e_min) = num / den is the one series sum (`_exp_sum`), and
     E(p^(i+1)) = E(p^i)^p carries it up; the inverses, which only the
-    logarithm reads, are the same chain from one inversion, made when
-    first asked for.  A smaller k gets the entries cut to p^k, kept per
-    (k, inverses), so no call reduces entries as wide as the largest
-    precision seen.  Needs k > e_min(p), which every argument with a
-    digit below H has.
+    logarithm reads, are the same chain from one inversion of the
+    table's first entry.  Needs k > e_min(p), which every argument with
+    a digit below H has.
 
-    Memory, per prime: the table, 2 (H - e_min) ints modulo p^K, K the
-    largest k asked for at p, and at most _CUTS_KEPT cuts of H - e_min
-    ints each, all narrower; at most _PRIMES_KEPT primes are kept."""
-    p = K.q
-    table = _tables.get(p)
-    if table is None or table[0] < k:
-        if table is None and len(_tables) >= _PRIMES_KEPT:
-            _tables.clear()
-        s = e_min(p)
-        num, den = _exp_sum(K, p ** s, s, k)
-        table = _tables[p] = [k, _chain(K, num * K.inv(den, k), k), None, {}]
-    if inverses and table[2] is None:
-        table[2] = _chain(K, K.inv(table[1][0], table[0]), table[0])
-    entries = table[2] if inverses else table[1]
-    if k == table[0]:
-        return entries
-    cuts = table[3]
-    cut = cuts.get((k, inverses))
-    if cut is None:
-        if len(cuts) >= _CUTS_KEPT:
-            cuts.clear()
-        pk = K.power(k)
-        cut = cuts[k, inverses] = [e % pk for e in entries]
-    return cut
+    Memory: H - e_min ints modulo p^k per key, 2 (H - e_min) for a
+    (prime, precision) with its inverses, at most _TABLES_KEPT (H -
+    e_min) ints in all."""
+    if inverses:
+        return _chain(K, K.inv(_table(K, k, False)[0], k), k)
+    s = e_min(K.q)
+    num, den = _exp_sum(K, K.q ** s, s, k)
+    return _chain(K, num * K.inv(den, k), k)
 
 
-def _chain(K, e: int, k: int) -> list[int]:
+def _chain(K, e: int, k: int) -> tuple[int, ...]:
     """e, e^p, e^(p^2), ... modulo p^k, one for each position in [e_min, H)."""
     p = K.q
     pk = K.power(k)
     out = [e % pk]
     for _ in range(1, (_HEAD - 1) * e_min(p)):
         out.append(pow(out[-1], p, pk))
-    return out
+    return tuple(out)
 
 
 def _exp_mod(K, x: int, k: int) -> int:
@@ -190,7 +170,7 @@ def _exp_mod(K, x: int, k: int) -> int:
     if head:
         x -= head
         head //= p ** s
-        for e in _table(K, k):
+        for e in _table(K, k, False):
             head, d = divmod(head, p)
             if d:
                 num = num * pow(e, d, pk) % pk
@@ -262,7 +242,7 @@ def _log_mod(K, z: int, k: int) -> int:
     head = 0
     if r % K.power(lo) != 1:
         pi = p ** s
-        for f in _table(K, k, inverses=True):
+        for f in _table(K, k, True):
             d = r // pi % p
             if d:
                 r = r * pow(f, d, pk) % pk
@@ -323,10 +303,13 @@ def exp_series(descriptor: FieldDescriptor, target_prec: int) -> TruncatedSeries
     builds them and every further coefficient.
 
     A series is immutable, so the last `_SERIES_KEPT` are kept by
-    (descriptor, target_prec) and returned again."""
-    E = _series.get((descriptor, target_prec))
-    if E is not None:
-        return E
+    (descriptor, target_prec) and returned again (`_exp_series`)."""
+    return _exp_series(descriptor, target_prec)
+
+
+@functools.lru_cache(maxsize=_SERIES_KEPT)
+def _exp_series(descriptor: FieldDescriptor, target_prec: int) -> TruncatedSeries:
+    """`exp_series`, built."""
     _require_padic(descriptor)
     p = descriptor.q
     slope = Fraction(-1, p - 1)
@@ -346,10 +329,7 @@ def exp_series(descriptor: FieldDescriptor, target_prec: int) -> TruncatedSeries
                              / (slope + m)) + 1)
     coeffs = tuple(factory(j) for j in range(min(count, _STORED)))
     tail = TailProfile(start=1, slope=slope, intercept=intercept)
-    if len(_series) >= _SERIES_KEPT:
-        _series.clear()
-    E = _series[descriptor, target_prec] = _Exponential(descriptor, coeffs, tail, factory)
-    return E
+    return _Exponential(descriptor, coeffs, tail, factory)
 
 
 def exp_eval(x: FieldElement, target_prec: int) -> FieldElement:

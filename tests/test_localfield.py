@@ -56,6 +56,13 @@ class TestFromRational:
 
 
 class TestArithmetic:
+    def test_powers_kept_are_bounded(self):
+        power = Qp(7).arith.power
+        kept = power.cache_info().maxsize
+        for k in range(3 * kept):
+            assert power(k) == 7 ** k
+            assert power.cache_info().currsize <= kept
+
     def test_add_precision_is_min(self):
         x = el(Q5, 3, 1, 4)
         y = el(Q5, 4, 1, 7)

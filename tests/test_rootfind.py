@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solve_model as model
 
@@ -11,7 +13,8 @@ from dvfield.errors import (AllCoefficientsIndistinguishableFromZero,
                             ContractionFails,
                             DerivativeIndistinguishableFromZero, DomainError,
                             HypothesesFail, PrecisionExhausted,
-                            TailInconclusive, UndecidedMultipleRoot)
+                            TailInconclusive, UltrametricError,
+                            UndecidedMultipleRoot)
 from dvfield.localfield import FieldElement, Qp, laurent_field
 from dvfield.rootfind import (HenselProblem, check_hypotheses,
                               enumerate_roots, fixed_point_solve,
@@ -44,6 +47,15 @@ class TestHypotheses:
     def test_sqrt2_q7_all_hold(self):
         rep = check_hypotheses(sqrt_problem(Q7, 2, 3))
         assert rep.h_close and rep.h_quadratic and rep.sufficient
+
+    def test_single_root_test_reads_the_residual(self):
+        # M1' = max |a_j| q^(-m(j-2)) = 1 for X^2 on m = -1 and for X^2 - 2
+        # on m = 0, so h_single is |z - f(x0)| < |f'(x0)|^2: |1/9| = 9 is
+        # not below |2/3|^2 = 9, |7| = 1/7 is below |6|^2 = 1
+        f = polynomial(Q3, [0, 0, 1], 12)
+        rep = check_hypotheses(HenselProblem(f, el(Q3, 1, 3), zero(Q3), -1, 8))
+        assert rep.h_close and not rep.h_single and not rep.sufficient
+        assert check_hypotheses(sqrt_problem(Q7, 2, 3)).h_single
 
     def test_q2_square_far_target(self):
         # |z - f(x0)| = |3| = 1 > |f'(1)| * 1 = 1/2
@@ -136,6 +148,17 @@ class TestFixedPoint:
         with pytest.raises(ContractionFails):
             fixed_point_solve(HenselProblem(f, el(Q2, 1), zero(Q2), 0, 8))
 
+    def test_one_digit_per_step_from_a_wide_residual(self):
+        # X^2 - c from x0 = 2/125, c = x0^2 + 5^-5, on v(x) >= -3: the
+        # frozen slope gains one digit per step, from residual valuation
+        # -5 to the target 1 in six steps
+        x0 = Fraction(2, 125)
+        c = x0 * x0 + Fraction(1, 5 ** 5)
+        f = polynomial(Q5, [-c, 0, 1], 12)
+        cert = fixed_point_solve(HenselProblem(f, el(Q5, 2, 125), zero(Q5), -3, 1))
+        assert cert.b_trace == (1, 2, 3, 4, 5, 6)
+        assert f.eval(cert.root, 1).is_zero_to_precision
+
     def test_agreement_on_random_instances(self):
         rng = random.Random(29)
         for _ in range(15):
@@ -211,6 +234,21 @@ class TestStrassmann:
         with pytest.raises(TailInconclusive):
             strassmann_bound(f, 0)
 
+    def test_undetermined_coefficient_is_weighed_by_the_radius(self):
+        # 1 + 5X + O(5)X^2 on v(x) >= -1: the constant and 5X both give
+        # exponent 0, and O(5)X^2 could reach 1 - 2 = -1
+        f = TruncatedSeries(Q5, (el(Q5, 1), el(Q5, 5), zero(Q5, 1)))
+        with pytest.raises(TailInconclusive):
+            strassmann_bound(f, -1)
+        assert strassmann_bound(f, 0).bound_N == 0
+
+    def test_tail_below_the_stored_terms_gives_the_bound(self):
+        # 1 + 5X + (v(a_j) >= j for j >= 2) on Z_5: the tail's exponent
+        # from j = 2 on is 2, above the constant's 0
+        f = TruncatedSeries(Q5, (el(Q5, 1), el(Q5, 5)),
+                            TailProfile(2, Fraction(1), Fraction(0)))
+        assert strassmann_bound(f, 0).bound_N == 0
+
     def test_tail_bound_must_dominate_strictly(self):
         # 5 + (v(a_j) >= 0 for j >= 1) on v(x) >= 1: the tail could tie
         # the constant's exponent 1 at j = 1
@@ -256,6 +294,25 @@ class TestEnumerateRoots:
         certs = enumerate_roots(f, 1, target_prec=8)
         assert len(certs) == 2
         assert sorted(c.root.reduce_mod(2) for c in certs) == [0, 5]
+
+    def test_roots_in_a_ball_larger_than_z_p(self):
+        # -2/3 and 2/3 lie in B(0, 3) and in B(0, 9): both balls give the
+        # same certificates, to the digits f's 12 carry
+        f = polynomial(Q3, [-4, 0, 9], 12)
+        for m in (-1, -2):
+            certs = enumerate_roots(f, m, target_prec=8)
+            assert [(c.root.abs_precision, c.residual_prec) for c in certs] == [(9, 10)] * 2
+            assert certs[0].root.agrees_with(el(Q3, -2, 3), 9)
+            assert certs[1].root.agrees_with(el(Q3, 2, 3), 9)
+
+    def test_scan_depth_counts_from_the_ball(self):
+        # 25 and 50 share the class of 0 on v(x) >= 2 and split one level
+        # below it, which scan_depth = 1 reaches
+        f = polynomial(Q5, [1250, -75, 1], 12)
+        certs = enumerate_roots(f, 2, scan_depth=1, target_prec=8)
+        assert sorted(c.root.reduce_mod(4) for c in certs) == [25, 50]
+        with pytest.raises(UndecidedMultipleRoot, match="class at depth 0 "):
+            enumerate_roots(f, 2, scan_depth=0, target_prec=8)
 
     def test_certificates_verify_independently(self):
         f = polynomial(Q3, [0, -1, 0, 1], 12)
@@ -653,3 +710,83 @@ def test_class_solve_starts_from_the_scan_evaluations(monkeypatch, p, coeffs, ev
     certs = enumerate_roots(polynomial(Qp(p), coeffs, 12), 0)
     assert len(certs) == 3
     assert len(calls) == evals
+
+
+# -- differential: the scan and the solver on balls of every radius --
+
+@st.composite
+def linear_factors_case(draw):
+    """(p, f, roots, m, W): f the product of 1-3 linear factors den X -
+    num over Q_p, p in {3, 5, 7}, known to W digits, whose roots num/den
+    have valuation -1 to 1, and a ball v(x) >= m, m from -3 to 2."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    unit = st.integers(1, 4 * p).filter(lambda u: u % p)
+    roots = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = Fraction(draw(unit) * draw(st.sampled_from((-1, 1))), draw(unit))
+        roots.append(r * Fraction(p) ** draw(st.integers(-1, 1)))
+    coeffs = [1]
+    for r in roots:
+        # times (den X - num), lowest coefficient first
+        coeffs = [a * r.denominator - b * r.numerator
+                  for a, b in zip([0] + coeffs, coeffs + [0])]
+    W = draw(st.integers(8, 16))
+    return p, polynomial(Qp(p), coeffs, W), sorted(set(roots)), draw(st.integers(-3, 2)), W
+
+
+def _in_ball(p, r, m):
+    """v(r) >= m for a rational r."""
+    return r == 0 or _vp(p, r.numerator) - _vp(p, r.denominator) >= m
+
+
+def _agrees(cert, p, r):
+    """cert.root is r at every digit it claims."""
+    k = cert.root.abs_precision
+    return cert.root.agrees_with(el(Qp(p), r.numerator, r.denominator, k), k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_factors_case())
+def test_scan_finds_the_roots_in_the_ball_at_every_radius(case):
+    """enumerate_roots(f, m) at target 4 either returns the roots of f of
+    valuation >= m, one certificate each, at least 4 digits each and every
+    claimed digit right, or refuses with a typed error.  The ball is larger than Z_p for m < 0:
+    the scan once pruned live classes there and returned too few."""
+    p, f, roots, m, _ = case
+    try:
+        certs = enumerate_roots(f, m, target_prec=4)
+    except UltrametricError:
+        return
+    want = [r for r in roots if _in_ball(p, r, m)]
+    assert len(certs) == len(want), (certs, want)
+    assert all(c.root.abs_precision >= 4 for c in certs)
+    assert sorted(sorted(i for i, r in enumerate(want) if _agrees(c, p, r))
+                  for c in certs) == [[i] for i in range(len(want))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_factors_case(), st.data())
+def test_hensel_at_every_radius_lands_on_a_root_in_the_ball(case, data):
+    """hensel_solve from a point near a root (or from any point of the
+    ball) either refuses with a typed error or returns a root of f in
+    the ball v(x) >= m, every claimed digit right, at the distance
+    q^-uniqueness_exponent its certificate states: the check of h_single,
+    whose M1' is M1 one radius factor looser."""
+    p, f, roots, m, W = case
+    F = Qp(p)
+    near = data.draw(st.sampled_from(roots + [None]))
+    if near is None:
+        x0 = data.draw(st.integers(0, p ** 4)) * Fraction(p) ** m
+    else:
+        x0 = near + data.draw(st.integers(0, p - 1)) * Fraction(p) ** data.draw(st.integers(m, m + 3))
+    if not _in_ball(p, x0, m):
+        return
+    problem = HenselProblem(f, el(F, x0.numerator, x0.denominator, W), zero(F, W), m, 4)
+    try:
+        cert = hensel_solve(problem)
+    except UltrametricError:
+        return
+    hits = [r for r in roots if _agrees(cert, p, r)]
+    assert hits and all(_in_ball(p, r, m) for r in hits), (cert, roots)
+    assert any(_vp(p, (r - x0).numerator) - _vp(p, (r - x0).denominator)
+               >= cert.uniqueness_exponent for r in hits), (cert, roots)

@@ -332,7 +332,7 @@ class TestLog:
         counts = []
         for z in (fine, coarse):
             calls = []
-            special._series.clear()
+            special._exp_series.cache_clear()
 
             def counted(cls, *args, **kwargs):
                 calls.append(args)
@@ -525,53 +525,52 @@ def test_kernels_match_the_model(case):
 
 class TestDigitTable:
     """The table of E(p^i) and E(p^i)^-1 the kernels read the digits below
-    H from."""
+    H from, one per (prime, precision), kept by `functools.lru_cache`."""
+
+    @pytest.fixture(autouse=True)
+    def no_tables(self):
+        special._table.cache_clear()
+        yield
+        special._table.cache_clear()
 
     @pytest.mark.parametrize("p", (2, 3, 5, 7))
-    def test_entries_are_exponentials_and_their_inverses(self, p, monkeypatch):
-        monkeypatch.setattr(special, "_tables", {})
+    def test_entries_are_exponentials_and_their_inverses(self, p):
         K, s = Qp(p).arith, e_min(p)
         k = 60
-        up, down = special._table(K, k), special._table(K, k, inverses=True)
-        assert special._tables[p][0] == k and len(up) == len(down) == head_end(p) - s
+        up, down = special._table(K, k, False), special._table(K, k, True)
+        assert len(up) == len(down) == head_end(p) - s
         for i, (e, f) in enumerate(zip(up, down), start=s):
             assert e == exp_model.exp_mod(K, p ** i, k), i
             assert e * f % p ** k == 1
 
-    def test_grows_and_is_reused(self, monkeypatch):
-        monkeypatch.setattr(special, "_tables", {})
+    def test_grows_and_is_reused(self):
         rng = random.Random(25)
         for p in (2, 3, 5, 7):
             K, s = Qp(p).arith, e_min(p)
-            for k, kept in ((50, 50), (300, 300), (30, 300)):
+            for k in (50, 300, 30):
                 for _ in range(3):
                     x = p ** s * rng.randrange(1, p ** k)
                     assert special._exp_mod(K, x, k) == exp_model.exp_mod(K, x, k), (p, k)
                     assert special._log_mod(K, 1 + x, k) == exp_model.log_mod(K, 1 + x, k)
-                assert special._tables[p][0] == kept
-            # read at 30 below a table of 300 digits: cut to p^30, once
+            # read at 30 after 300: entries modulo p^30, built once
             for inverses in (False, True):
-                cut = special._table(K, 30, inverses)
-                assert all(0 <= e < p ** 30 for e in cut)
-                assert special._table(K, 30, inverses) is cut
-            assert special._table(K, 30) == [exp_model.exp_mod(K, p ** i, 30)
-                                             for i in range(s, head_end(p))]
+                table = special._table(K, 30, inverses)
+                assert all(0 <= e < p ** 30 for e in table)
+                assert special._table(K, 30, inverses) is table
+            assert special._table(K, 30, False) == tuple(
+                exp_model.exp_mod(K, p ** i, 30) for i in range(s, head_end(p)))
+        # (p, k, inverses) for p in 2, 3, 5, 7, k in 50, 300, 30, both kinds
+        assert special._table.cache_info().currsize == 24
 
-    def test_cuts_and_primes_kept_are_bounded(self, monkeypatch):
-        monkeypatch.setattr(special, "_tables", {})
+    def test_tables_kept_are_bounded(self):
+        kept = special._table.cache_info().maxsize
         K = Qp(3).arith
-        top = special._table(K, 300)
-        for k in range(2, 2 + 3 * special._CUTS_KEPT):
-            assert special._table(K, k) == [e % 3 ** k for e in top]
-            assert 1 <= len(special._tables[3][3]) <= special._CUTS_KEPT
-        assert special._tables[3][0] == 300
-        primes = [q for q in range(3, 400, 2) if all(q % d for d in range(3, q, 2))]
-        for q in primes[:2 * special._PRIMES_KEPT]:
-            special._table(Qp(q).arith, 4)
-            assert q in special._tables and len(special._tables) <= special._PRIMES_KEPT
+        top = special._table(K, 300, False)
+        for k in range(2, 2 + 3 * kept):
+            assert special._table(K, k, False) == tuple(e % 3 ** k for e in top)
+            assert special._table.cache_info().currsize <= kept
 
-    def test_built_from_one_series_sum_per_prime(self, monkeypatch):
-        monkeypatch.setattr(special, "_tables", {})
+    def test_built_from_one_series_sum_per_precision(self, monkeypatch):
         sums = []
         exp_sum = special._exp_sum
 
@@ -582,18 +581,17 @@ class TestDigitTable:
         for p in (2, 3, 5, 7):
             K, s, H = Qp(p).arith, e_min(p), head_end(p)
             head = p ** H - p ** s          # the digit p - 1 at every i in [s, H)
-            special._exp_mod(K, head, 300)
-            assert sums == [(p ** s, s, 300)]
-            special._exp_mod(K, head, 300)
-            special._exp_mod(K, head, 120)
-            assert special._tables[p][2] is None     # exp reads no inverse
-            special._log_mod(K, 1 + head, H)
-            assert len(sums) == 1 and special._tables[p][2] is not None
-            sums.clear()
-        assert sorted(special._tables) == [2, 3, 5, 7]
+            for k in (300, 120):
+                special._exp_mod(K, head, k)
+                assert sums == [(p ** s, s, k)]
+                special._exp_mod(K, head, k)
+                assert special._table.cache_info().currsize == 1   # exp reads no inverse
+                special._log_mod(K, 1 + head, k)
+                assert len(sums) == 1 and special._table.cache_info().currsize == 2
+                sums.clear()
+                special._table.cache_clear()
 
-    def test_no_table_without_head_digits(self, monkeypatch):
-        monkeypatch.setattr(special, "_tables", {})
+    def test_no_table_without_head_digits(self):
         for p in (2, 3, 5, 7):
             K, H = Qp(p).arith, head_end(p)
             for k in (1, e_min(p), H, 200):
@@ -601,12 +599,12 @@ class TestDigitTable:
                 assert special._exp_mod(K, p ** H * 5, k) == exp_model.exp_mod(K, p ** H * 5, k)
                 assert special._log_mod(K, 1, k) == 0
                 assert special._log_mod(K, 1 + p ** H, k) == exp_model.log_mod(K, 1 + p ** H, k)
-        assert special._tables == {}
+        assert special._table.cache_info().currsize == 0
 
 
 class TestSeriesMemo:
     def test_log_solve_builds_the_coefficients_once(self, monkeypatch):
-        special._series.clear()
+        special._exp_series.cache_clear()
         z = exp_eval(el(Q5, 5 * 3, 1, 40), 40)
         from_rational = FieldElement.from_rational.__func__
         counts = []
@@ -624,8 +622,9 @@ class TestSeriesMemo:
         assert counts[0] - counts[1] == exp_series(Q5, 40).stored_len == 5
 
     def test_the_memo_is_bounded(self):
-        special._series.clear()
-        for N in range(1, 3 * special._SERIES_KEPT):
+        special._exp_series.cache_clear()
+        kept = special._exp_series.cache_info().maxsize
+        for N in range(1, 3 * kept):
             E = exp_series(Q3, N)
-            assert len(special._series) <= special._SERIES_KEPT
+            assert special._exp_series.cache_info().currsize <= kept
             assert exp_series(Q3, N) is E

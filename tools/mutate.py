@@ -1,14 +1,21 @@
-"""Mutation check of the test suite by comparison flips.
+"""Mutation check of the test suite by comparison flips and dropped terms.
 
     python tools/mutate.py measure rootfind [--workdir DIR]
 
-For each comparison in src/dvfield/<module>.py, one at a time, the runner
-flips its operator (< and <=, > and >=, == and !=, is and is not, in and
-not in) in a copy of the tree and runs that module's own test files
-(`TESTS`) against the copy with `pytest -x`.  A mutant that every test
-passes has survived: no test tells it from the real code.  Each
-survivor is printed as file:line, the flip and the source line; the exit
-status is 1 when any mutant survived.
+For each mutant of src/dvfield/<module>.py, one at a time, the runner
+writes it into a copy of the tree and runs that module's own test files
+(`TESTS`) against the copy with `pytest -x`.  Two kinds of mutant are
+made:
+
+- a comparison flip: < and <=, > and >=, == and !=, is and is not, in
+  and not in;
+- a dropped term: a + b becomes a and b, a - b becomes a (the kept
+  operand in parentheses); sums of strings, and sums inside an f-string,
+  which only change a message, are left alone.
+
+A mutant that every test passes has survived: no test tells it from
+the real code.  Each survivor is printed as file:line, the change and
+the source line; the exit status is 1 when any mutant survived.
 
 One pytest process runs at a time.  The unmutated tests run first and
 are timed; a mutant's run may take `SLOWDOWN` times as long, after
@@ -58,7 +65,7 @@ FLIP = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
 
 class Mutant(NamedTuple):
     line: int
-    start: int          # character offsets of the operator in the source
+    start: int          # character offsets of the replaced text in the source
     end: int
     old: str
     new: str
@@ -72,15 +79,19 @@ def _offsets(source: str) -> List[int]:
     return starts
 
 
-def mutants(source: str) -> List[Mutant]:
-    """Every comparison operator flip, in source order."""
+def _char_pos(source: str):
+    """(line, byte column) -> character offset in source: ast columns
+    count UTF-8 bytes, tokenize columns characters."""
     lines = source.splitlines(keepends=True)
     starts = _offsets(source)
+    return lambda line, byte_col: (
+        starts[line] + len(lines[line - 1].encode()[:byte_col].decode()))
 
-    def char_pos(line: int, byte_col: int) -> int:
-        # ast columns count UTF-8 bytes, tokenize columns characters
-        return starts[line] + len(lines[line - 1].encode()[:byte_col].decode())
 
+def flips(source: str) -> List[Mutant]:
+    """Every comparison operator flip."""
+    starts = _offsets(source)
+    char_pos = _char_pos(source)
     tokens = [(starts[t.start[0]] + t.start[1], starts[t.end[0]] + t.end[1], t.string)
               for t in tokenize.generate_tokens(io.StringIO(source).readline)
               if t.type in (tokenize.OP, tokenize.NAME)]
@@ -98,7 +109,43 @@ def mutants(source: str) -> List[Mutant]:
             found.append(Mutant(source.count("\n", 0, op[0][0]) + 1, op[0][0],
                                 op[-1][1], text, FLIP[text]))
             left = right
-    return sorted(found)
+    return found
+
+
+def drops(source: str) -> List[Mutant]:
+    """Every sum a + b cut to a and to b, and every difference a - b to a."""
+    char_pos = _char_pos(source)
+
+    def span(node: ast.expr) -> Tuple[int, int]:
+        return (char_pos(node.lineno, node.col_offset),
+                char_pos(node.end_lineno, node.end_col_offset))
+
+    def is_text(node: ast.expr) -> bool:
+        return isinstance(node, ast.JoinedStr) or (
+            isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+    tree = ast.parse(source)
+    # what an f-string formats only changes a message
+    in_text = {id(n) for s in ast.walk(tree) if isinstance(s, ast.JoinedStr)
+               for n in ast.walk(s)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.BinOp) or not isinstance(node.op, (ast.Add, ast.Sub)):
+            continue
+        if id(node) in in_text or is_text(node.left) or is_text(node.right):
+            continue
+        start, end = span(node)
+        kept = [node.left, node.right] if isinstance(node.op, ast.Add) else [node.left]
+        for operand in kept:
+            lo, hi = span(operand)
+            found.append(Mutant(node.lineno, start, end, source[start:end],
+                                f"({source[lo:hi]})"))
+    return found
+
+
+def mutants(source: str) -> List[Mutant]:
+    """Every mutant of both kinds, in source order."""
+    return sorted(flips(source) + drops(source))
 
 
 def run_tests(copy: str, tests: List[str], timeout: Optional[float]) -> Tuple[bool, str]:
